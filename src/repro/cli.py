@@ -503,9 +503,10 @@ def _serve_command(args) -> int:
     """The ``serve`` subcommand: boot, recover, serve until signalled."""
     import os
 
+    from repro.core import runcache
     from repro.serve import store as jobstore
     from repro.serve.app import serve_forever
-    from repro.serve.runner import JobRunner
+    from repro.serve.runner import MEMORY_TIER_RUNS, JobRunner
     from repro.serve.scheduler import Scheduler
 
     port = args.port
@@ -541,6 +542,7 @@ def _serve_command(args) -> int:
         except ValueError as exc:
             raise CLIError(str(exc)) from None
 
+    runcache.get_cache().max_memory_entries = MEMORY_TIER_RUNS
     scheduler = Scheduler(
         workers=workers,
         runner=JobRunner(jobs=jobs),

@@ -18,7 +18,9 @@ content, not identity: any two studies configured the same share results.
 
 Tiers:
 
-* **memory** — a plain dict, always on (unless disabled);
+* **memory** — a dict, always on (unless disabled); unbounded unless
+  ``max_memory_entries`` is set, as the serve daemon does, in which case
+  the least recently used entries leave it;
 * **disk** — optional, under a directory (``results/.cache`` for the
   CLI's ``run-all``); entries are atomically-written pickle files named
   by fingerprint, so concurrent writers (the parallel sweep runner's
@@ -54,6 +56,7 @@ import hashlib
 import os
 import pickle
 import tempfile
+import threading
 import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
@@ -77,7 +80,9 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Disk-entry envelope schema, bumped whenever the on-disk layout of an
 #: entry changes; entries with any other value are quarantined.
-CACHE_ENTRY_SCHEMA = 1
+#: 2: finished results pickle their counter sets in the frozen
+#: (schema + packed values) form.
+CACHE_ENTRY_SCHEMA = 2
 
 #: Magic marker distinguishing an envelope from a legacy raw pickle.
 _ENVELOPE_MAGIC = "repro-runcache"
@@ -193,8 +198,14 @@ class RunCache:
         self,
         disk_dir: Optional[Path] = None,
         enabled: bool = True,
+        max_memory_entries: Optional[int] = None,
     ):
-        self._mem: Dict[Tuple[str, str], Any] = {}
+        #: Memory tier, least recently used first.
+        self._mem: Dict[str, Any] = {}
+        self._mem_lock = threading.Lock()
+        #: Memory-tier bound (None: unbounded).  Past it the least
+        #: recently used entry leaves memory; a disk tier still has it.
+        self.max_memory_entries = max_memory_entries
         self.disk_dir = Path(disk_dir) if disk_dir else None
         self.enabled = enabled
         self.stats = CacheStats()
@@ -219,14 +230,18 @@ class RunCache:
         if not self.enabled:
             return _MISS
         entry_key = self._entry_key(study_fp, run_key)
-        if entry_key in self._mem:
+        with self._mem_lock:
+            value = self._mem.pop(entry_key, _MISS)
+            if value is not _MISS:
+                self._mem[entry_key] = value  # now most recently used
+        if value is not _MISS:
             self.stats.memory_hits += 1
-            return self._mem[entry_key]
+            return value
         path = self._disk_path(entry_key)
         if path is not None and path.exists():
             value = self._disk_load(path)
             if not RunCache.is_miss(value):
-                self._mem[entry_key] = value
+                self._remember(entry_key, value)
                 self.stats.disk_hits += 1
                 return value
         self.stats.misses += 1
@@ -351,7 +366,7 @@ class RunCache:
         if not self.enabled:
             return
         entry_key = self._entry_key(study_fp, run_key)
-        self._mem[entry_key] = value
+        self._remember(entry_key, value)
         path = self._disk_path(entry_key)
         if path is None:
             return
@@ -386,6 +401,16 @@ class RunCache:
             # dependency: fall back silently to memory-only.
             pass
 
+    def _remember(self, entry_key: str, value: Any) -> None:
+        """Put into the memory tier, dropping the least recently used
+        entries past the bound."""
+        with self._mem_lock:
+            self._mem.pop(entry_key, None)
+            self._mem[entry_key] = value
+            bound = self.max_memory_entries
+            while bound is not None and len(self._mem) > bound:
+                del self._mem[next(iter(self._mem))]
+
     @staticmethod
     def is_miss(value: Any) -> bool:
         return value is _MISS
@@ -393,7 +418,8 @@ class RunCache:
     def clear(self, memory: bool = True, disk: bool = False) -> None:
         """Drop cached entries (memory tier by default)."""
         if memory:
-            self._mem.clear()
+            with self._mem_lock:
+                self._mem.clear()
         if disk and self.disk_dir is not None and self.disk_dir.exists():
             for p in self.disk_dir.glob("*.pkl"):
                 try:

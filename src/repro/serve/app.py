@@ -51,6 +51,22 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # One send per response, with Nagle off: a response split into
+    # headers and body with Nagle on holds the body until the client's
+    # delayed ACK (~40 ms) on a keep-alive connection.
+    # ``handle_one_request`` and ``finish`` flush the buffer once the
+    # response is complete; a response larger than the buffer (only a
+    # large experiment result) leaves in several sends, which Nagle-off
+    # keeps from stalling.
+    wbufsize = 1 << 14
+    disable_nagle_algorithm = True
+
+    def handle_expect_100(self) -> bool:
+        # The interim 100 must leave now, not with the final response:
+        # the client is waiting for it before it sends the body.
+        accepted = super().handle_expect_100()
+        self.wfile.flush()
+        return accepted
 
     # ------------------------------------------------------------------
     @property
@@ -110,7 +126,7 @@ class _Handler(BaseHTTPRequestHandler):
         if match:
             job = self.scheduler.get(match.group(1))
             if job is None:
-                self._send(404, {"error": f"no such job {match.group(1)!r}"})
+                self._no_job(match.group(1))
             else:
                 self._send(200, job.describe())
             return
@@ -119,7 +135,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _get_result(self, job_id: str) -> None:
         job = self.scheduler.get(job_id)
         if job is None:
-            self._send(404, {"error": f"no such job {job_id!r}"})
+            self._no_job(job_id)
             return
         if not job.terminal:
             self._send(409, {
@@ -129,7 +145,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         payload: Dict[str, Any] = {"id": job.id, "state": job.state}
         if job.state == jobstore.DONE:
-            payload["result"] = self.scheduler.result(job_id)
+            payload["result"] = job.result
         elif job.state == jobstore.FAILED:
             payload["error"] = job.error
         else:
@@ -165,16 +181,25 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(409, {"error": str(exc)})
             return
         if job is None:
-            self._send(404, {"error": f"no such job {match.group(1)!r}"})
+            self._no_job(match.group(1))
         else:
             self._send(200, job.describe())
+
+    def _no_job(self, job_id: str) -> None:
+        if self.scheduler.store.expired(job_id):
+            error = (f"job {job_id!r} expired: the server keeps the newest "
+                     f"{jobstore.MAX_TERMINAL_JOBS} finished jobs")
+        else:
+            error = f"no such job {job_id!r}"
+        self._send(404, {"error": error})
 
 
 class _Server(ThreadingHTTPServer):
     # The stdlib default backlog (5) drops SYNs under concurrent-client
-    # load — every client connection is fresh (urllib does not pool),
-    # so a 100-client burst overflows it and surfaces as connection
-    # resets plus ~1 s retransmit spikes in the latency tail.
+    # load: clients that open a connection per request (urllib does not
+    # pool; keep-alive clients reconnect after errors) arrive as a burst
+    # of fresh connections, and 100 of them overflow it, surfacing as
+    # connection resets plus ~1 s retransmit spikes in the latency tail.
     request_queue_size = 128
 
 

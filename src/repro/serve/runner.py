@@ -26,7 +26,14 @@ from repro.core.study import Study
 from repro.serve.schema import JobSpec
 from repro.sim.results import RunResult
 
-__all__ = ["JobRunner"]
+__all__ = ["JobRunner", "MEMORY_TIER_RUNS"]
+
+#: Runs the daemon keeps in the run cache's memory tier (least recently
+#: used evicted; ~3.4 KiB each).  Repeat submissions are answered from
+#: retained jobs first, so the tier only shares runs across job keys
+#: and within experiment jobs; bounding it keeps resident memory flat
+#: however many distinct jobs the daemon serves.
+MEMORY_TIER_RUNS = 256
 
 
 def _run_summary(spec: JobSpec, result: RunResult) -> Dict[str, Any]:

@@ -37,6 +37,7 @@ import queue
 import threading
 import time
 import traceback
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -152,7 +153,13 @@ class Scheduler:
         self.counters = _Counters()
         self._lock = threading.Lock()
         self._executions: Dict[str, _Execution] = {}
-        self._results: Dict[str, Dict[str, Any]] = {}
+        #: Result memo: key -> the newest done job with that key.  Weak,
+        #: so an entry lives exactly as long as the store retains its
+        #: job.  Jobs answered from it share its key, spec record and
+        #: result, so a retained job costs little beyond its id.
+        self._done: "weakref.WeakValueDictionary[str, Job]" = (
+            weakref.WeakValueDictionary()
+        )
         self._latencies: deque = deque(maxlen=4096)
         self._queue: "queue.SimpleQueue" = queue.SimpleQueue()
         self._accepting = True
@@ -184,7 +191,7 @@ class Scheduler:
         # serialize every submission behind one file system access.
         probed: Optional[Dict[str, Any]] = None
         with self._lock:
-            known = key in self._results or key in self._executions
+            known = key in self._done or key in self._executions
         if not known and self._probe is not None:
             probed = self._probe(spec)
         with self._lock:
@@ -192,13 +199,15 @@ class Scheduler:
                 self.counters.rejected += 1
                 raise SchedulerClosed("scheduler is draining")
             self.counters.submitted += 1
-            described = spec.describe()
-            result = self._results.get(key)
-            if result is None:
-                result = probed
+            done = self._done.get(key)
+            if done is not None:
+                key, described, result = done.key, done.spec, done.result
+            else:
+                described, result = spec.describe(), probed
             if result is not None:
                 job = self.store.new_job(key, described, source="cache")
-                self._results[key] = result
+                job.result = result
+                self._done[key] = job
                 self.counters.cache_hits += 1
                 self.store.transition(job, jobstore.DONE, source="cache")
                 self._observe(job)
@@ -254,8 +263,7 @@ class Scheduler:
         job = self.store.get(job_id)
         if job is None or job.state != jobstore.DONE:
             return None
-        with self._lock:
-            return self._results.get(job.key)
+        return job.result
 
     # ------------------------------------------------------------------
     def _observe(self, job: Job) -> None:
@@ -275,9 +283,8 @@ class Scheduler:
     ) -> None:
         with self._lock:
             execution.state = state
-            if result is not None:
-                self._results[execution.key] = result
             for job in execution.live_jobs:
+                job.result = result
                 self.store.transition(
                     job, state,
                     source=job.source,
@@ -286,6 +293,7 @@ class Scheduler:
                 self._observe(job)
                 if state == jobstore.DONE:
                     self.counters.results_fanned_out += 1
+                    self._done[job.key] = job
             self._executions.pop(execution.key, None)
 
     def _worker_loop(self) -> None:

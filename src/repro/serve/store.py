@@ -9,15 +9,21 @@ write-ahead discipline as ``run-all``'s campaign journal
 leaves a journal from which :func:`load_jobs_journal` reconstructs
 every job's last known state, and the scheduler resubmits the
 non-terminal ones on the next boot.
+
+Memory stays bounded however long the daemon runs: the store keeps at
+most :data:`MAX_TERMINAL_JOBS` terminal jobs (oldest evicted first; a
+lookup of an evicted id is told it expired) and keeps per-state counts
+as it goes, so the counts cover every job ever submitted, evicted ones
+included.  The journal still records every event.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
@@ -29,6 +35,7 @@ __all__ = [
     "JobJournal",
     "JobStore",
     "JobsJournalState",
+    "MAX_TERMINAL_JOBS",
     "TERMINAL_STATES",
     "load_jobs_journal",
 ]
@@ -46,6 +53,10 @@ JOBS_JOURNAL_NAME = "jobs.wal.jsonl"
 #: Bumped on incompatible record-layout changes; a journal stamped
 #: with a higher schema is refused loudly on recovery.
 JOBS_JOURNAL_SCHEMA = 1
+
+#: Terminal jobs the store retains for ``GET``; older ones are evicted
+#: (their results with them) and answer 404 "expired".
+MAX_TERMINAL_JOBS = 2048
 
 
 @dataclass
@@ -70,6 +81,8 @@ class Job:
     error: Optional[Dict[str, Any]] = None
     #: Supervision provenance: why a cancelled job was cancelled.
     reason: Optional[str] = None
+    #: A done job's result payload (shared with other jobs of its key).
+    result: Optional[Dict[str, Any]] = None
 
     @property
     def terminal(self) -> bool:
@@ -198,12 +211,22 @@ def load_jobs_journal(path: Path) -> Optional[JobsJournalState]:
 
 
 class JobStore:
-    """Thread-safe job registry with optional journaling."""
+    """Thread-safe job registry with optional journaling.
+
+    Holds every non-terminal job and the newest
+    :data:`MAX_TERMINAL_JOBS` terminal ones.
+    """
 
     def __init__(self, journal: Optional[JobJournal] = None):
         self._jobs: Dict[str, Job] = {}
         self._lock = threading.Lock()
-        self._ids = itertools.count(1)
+        #: Jobs ever submitted; the newest job's id is ``j<issued>``.
+        self._issued = 0
+        #: Retained terminal job ids, oldest first.
+        self._terminal: deque = deque()
+        self._counts: Dict[str, int] = {
+            QUEUED: 0, RUNNING: 0, DONE: 0, FAILED: 0, CANCELLED: 0,
+        }
         self.journal = journal
 
     # ------------------------------------------------------------------
@@ -211,9 +234,11 @@ class JobStore:
         self, key: str, spec: Dict[str, Any], source: str = "executed"
     ) -> Job:
         with self._lock:
-            job_id = f"j{next(self._ids):06d}"
+            self._issued += 1
+            job_id = f"j{self._issued:06d}"
             job = Job(id=job_id, key=key, spec=spec, source=source)
             self._jobs[job_id] = job
+            self._counts[QUEUED] += 1
         if self.journal is not None:
             self.journal.append({
                 "event": "submitted", "job": job.id, "key": key,
@@ -224,6 +249,18 @@ class JobStore:
     def get(self, job_id: str) -> Optional[Job]:
         with self._lock:
             return self._jobs.get(job_id)
+
+    def expired(self, job_id: str) -> bool:
+        """Was ``job_id`` issued here and since evicted?"""
+        digits = job_id[1:]
+        if not (job_id[:1] == "j" and digits.isdigit()):
+            return False
+        n = int(digits)
+        with self._lock:
+            return (
+                job_id == f"j{n:06d}" and 0 < n <= self._issued
+                and job_id not in self._jobs
+            )
 
     def transition(
         self,
@@ -236,7 +273,14 @@ class JobStore:
         """Move a job to ``state`` (journaled).  Caller must hold the
         scheduler lock for compound transitions; the store itself only
         guarantees each transition is internally consistent."""
-        job.state = state
+        with self._lock:
+            self._counts[job.state] -= 1
+            self._counts[state] += 1
+            if state in TERMINAL_STATES and not job.terminal:
+                self._terminal.append(job.id)
+                while len(self._terminal) > MAX_TERMINAL_JOBS:
+                    del self._jobs[self._terminal.popleft()]
+            job.state = state
         if source is not None:
             job.source = source
         if error is not None:
@@ -260,16 +304,18 @@ class JobStore:
 
     # ------------------------------------------------------------------
     def counts(self) -> Dict[str, int]:
-        """Jobs per state (one consistent snapshot)."""
+        """Jobs per state over every job ever submitted, evicted ones
+        included (one consistent snapshot)."""
         with self._lock:
-            out: Dict[str, int] = {
-                QUEUED: 0, RUNNING: 0, DONE: 0, FAILED: 0, CANCELLED: 0,
-            }
-            for job in self._jobs.values():
-                out[job.state] = out.get(job.state, 0) + 1
-            out["submitted"] = len(self._jobs)
+            out = dict(self._counts)
+            out["submitted"] = self._issued
             return out
 
     def jobs(self) -> List[Job]:
+        """The retained jobs, oldest submission first."""
         with self._lock:
             return list(self._jobs.values())
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._jobs)

@@ -50,6 +50,13 @@ class RunResult:
     phase_log: List[PhaseRecord] = field(default_factory=list)
     timeline: Timeline = field(default_factory=Timeline)
 
+    def __post_init__(self) -> None:
+        # A finished run's counters are only read from here on (and may
+        # sit in the run cache for the life of the process): pack them.
+        self.collector.freeze()
+        for p in self.programs:
+            p.counters.freeze()
+
     @property
     def runtime_seconds(self) -> float:
         """Single-program runtime; for multiprogram, the last finisher."""

@@ -37,11 +37,11 @@ def assert_identical_runs(batched, scalar, tag=""):
     assert len(batched.programs) == len(scalar.programs), tag
     for pb, ps in zip(batched.programs, scalar.programs):
         assert pb.runtime_seconds == ps.runtime_seconds, tag
-        cb, cs = dict(pb.counters._counts), dict(ps.counters._counts)
+        cb, cs = pb.counters.as_dict(), ps.counters.as_dict()
         assert list(cb) == list(cs), (tag, "counter insertion order")
         assert cb == cs, tag
-    sets_b = {k: dict(v._counts) for k, v in batched.collector._sets.items()}
-    sets_s = {k: dict(v._counts) for k, v in scalar.collector._sets.items()}
+    sets_b = {k: v.as_dict() for k, v in batched.collector._sets.items()}
+    sets_s = {k: v.as_dict() for k, v in scalar.collector._sets.items()}
     assert list(sets_b) == list(sets_s), (tag, "collector set order")
     assert sets_b == sets_s, tag
     assert batched.phase_log == scalar.phase_log, tag

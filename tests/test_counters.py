@@ -34,6 +34,64 @@ class TestCounterSet:
         assert cs.ratio(Event.L2_MISS, Event.L2_ACCESS) == 0.0
 
 
+class TestFrozenCounterSet:
+    """A finished run's sets are packed (shared schema + array('d'))
+    without changing a single value or the public API."""
+
+    COUNTS = {Event.INSTR_RETIRED: 3.0, Event.CYCLES: 0.1 + 0.2,
+              Event.L1D_MISS: 1e-300, Event.L1D_ACCESS: 7.5}
+
+    def test_frozen_equals_dict_form_and_keeps_order(self):
+        frozen = CounterSet(self.COUNTS).freeze()
+        assert frozen == CounterSet(self.COUNTS)
+        assert list(frozen.as_dict().items()) == list(self.COUNTS.items())
+        for ev, v in self.COUNTS.items():
+            assert frozen[ev] == v and frozen.get(ev) == v
+        assert frozen[Event.L2_MISS] == 0.0
+        assert frozen.ratio(Event.L1D_MISS, Event.L1D_ACCESS) == \
+            self.COUNTS[Event.L1D_MISS] / 7.5
+        merged = frozen.merge(CounterSet({Event.CYCLES: 1.0}))
+        assert merged == CounterSet(self.COUNTS).merge(
+            CounterSet({Event.CYCLES: 1.0}))
+        assert frozen.freeze() is frozen
+
+    def test_sets_with_one_event_order_share_a_schema(self):
+        a = CounterSet(self.COUNTS).freeze()
+        b = CounterSet({ev: 2 * v for ev, v in self.COUNTS.items()}).freeze()
+        assert a._schema is b._schema
+        assert a != b
+
+    def test_add_on_a_frozen_set_unpacks_it(self):
+        cs = CounterSet(self.COUNTS).freeze()
+        cs.add(Event.CYCLES, 1.0)
+        cs.add(Event.L2_MISS, 2.0)
+        assert cs[Event.CYCLES] == self.COUNTS[Event.CYCLES] + 1.0
+        assert list(cs.as_dict())[-1] is Event.L2_MISS
+
+    def test_pickle_round_trip_keeps_the_shared_schema(self):
+        import pickle
+
+        frozen = CounterSet(self.COUNTS).freeze()
+        back = pickle.loads(pickle.dumps(frozen))
+        assert back == frozen and back._schema is frozen._schema
+        assert list(back.as_dict().items()) == list(self.COUNTS.items())
+
+    def test_run_results_survive_the_disk_tier(self, tmp_path):
+        from repro.core.runcache import RunCache
+        from repro.core.study import Study
+
+        result = Study("S").run("CG", "ht_on_4_1")
+        counters = result.programs[0].counters
+        assert counters._counts is None  # frozen once the run finished
+        RunCache(disk_dir=tmp_path).put("fp", ("CG",), result)
+        back = RunCache(disk_dir=tmp_path).get("fp", ("CG",))
+        assert back.programs[0].counters == counters
+        assert list(back.programs[0].counters.as_dict().items()) == \
+            list(counters.as_dict().items())
+        assert back.collector.total() == result.collector.total()
+        assert back.metrics() == result.metrics()
+
+
 class TestCollector:
     def test_program_aggregation(self):
         c = Collector()

@@ -87,6 +87,20 @@ class TestRunCache:
         assert reader.get("fp", ("k",)) == [1, 2, 3]
         assert reader.stats.disk_hits == 1
 
+    def test_bounded_memory_tier_drops_least_recently_used(self, tmp_path):
+        cache = RunCache(disk_dir=tmp_path, max_memory_entries=2)
+        cache.put("fp", ("a",), "A")
+        cache.put("fp", ("b",), "B")
+        assert cache.get("fp", ("a",)) == "A"  # b is now the oldest
+        cache.put("fp", ("c",), "C")
+        assert len(cache) == 2
+        assert cache.get("fp", ("c",)) == "C"
+        assert cache.stats.disk_hits == 0
+        # b left memory only: the disk tier still answers it.
+        assert cache.get("fp", ("b",)) == "B"
+        assert cache.stats.disk_hits == 1
+        assert len(cache) == 2
+
     def test_torn_disk_entry_is_a_miss(self, tmp_path):
         writer = RunCache(disk_dir=tmp_path)
         writer.put("fp", ("k",), "value")

@@ -195,7 +195,20 @@ def test_result_memo_answers_repeat_submissions():
         _shutdown(scheduler)
 
 
-def test_engine_backed_warm_cache_bypasses_pool():
+@pytest.fixture
+def fresh_run_cache(monkeypatch):
+    """A pristine process-wide run cache: another module's runs (the
+    serve tests submit the same CG job) must not pre-warm this one."""
+    from repro.core import runcache
+
+    monkeypatch.delenv(runcache.NO_CACHE_ENV, raising=False)
+    monkeypatch.delenv(runcache.CACHE_DIR_ENV, raising=False)
+    runcache.configure(reset=True)
+    yield
+    runcache.configure(reset=True)
+
+
+def test_engine_backed_warm_cache_bypasses_pool(fresh_run_cache):
     """With the real runner, a study-cached run answers resubmission."""
     runner = JobRunner()
     scheduler = Scheduler(workers=1, runner=runner)
@@ -500,6 +513,116 @@ def test_torn_final_journal_line_is_tolerated(tmp_path):
     state = jobstore.load_jobs_journal(path)
     assert state.jobs["j000001"].state == jobstore.QUEUED
     assert [j.id for j in state.resumable] == ["j000001"]
+
+
+# ----------------------------------------------------------------------
+# Bounded state
+
+
+class ColdCGRunner(CountingRunner):
+    """Answers every job from 'cache' except CG ones, which it runs
+    (blocking until released)."""
+
+    def __init__(self):
+        super().__init__(block=True)
+
+    def probe(self, spec):
+        return None if spec.workload == "CG" else {"cached": spec.workload}
+
+
+def test_terminal_jobs_are_evicted_past_the_bound(tmp_path, monkeypatch):
+    bound = 4
+    monkeypatch.setattr(jobstore, "MAX_TERMINAL_JOBS", bound)
+    runner = ColdCGRunner()
+    scheduler = Scheduler(workers=1, runner=runner, state_dir=tmp_path)
+    held = scheduler.submit(dict(RUN_CG))
+    assert runner.started.wait(5.0)
+    warm = []
+    for w in ("mg", "ft", "ep", "is", "lu"):
+        for c in ("serial", "ht_on_4_1"):
+            job = scheduler.submit({**RUN_CG, "workload": w, "config": c})
+            assert job.state == jobstore.DONE
+            warm.append(job.id)
+    # The running job plus the newest `bound` terminal ones; results
+    # are memoized only while a retained job holds them.
+    assert len(scheduler.store) == bound + 1
+    assert [j.id for j in scheduler.store.jobs()] == \
+        [held.id] + warm[-bound:]
+    assert len(scheduler._done) == bound
+    assert scheduler.get(warm[0]) is None
+    assert scheduler.store.expired(warm[0])
+    assert not scheduler.store.expired(warm[-1])
+    assert not scheduler.store.expired("j999999")
+    assert scheduler.result(warm[-1]) == {"cached": "LU"}
+    # /stats still closes over every job ever submitted.
+    stats = scheduler.stats()
+    jobs = stats["jobs"]
+    assert jobs["submitted"] == stats["counters"]["submitted"] == 11
+    assert jobs["done"] == 10 and jobs["running"] == 1
+    assert jobs["submitted"] == sum(
+        jobs[s] for s in ("done", "failed", "cancelled", "queued",
+                          "running"))
+
+    # The journal still holds every job; recovery resumes the held one.
+    scheduler.store.journal.close()
+    state = jobstore.load_jobs_journal(
+        tmp_path / jobstore.JOBS_JOURNAL_NAME
+    )
+    assert len(state.jobs) == 11
+    assert [j.id for j in state.resumable] == [held.id]
+    fresh = Scheduler(workers=1, runner=CountingRunner())
+    try:
+        assert fresh.recover(state) == 1
+        [job] = fresh.store.jobs()
+        assert _wait_terminal(fresh, job).state == jobstore.DONE
+    finally:
+        _shutdown(fresh)
+    runner.release.set()
+
+
+def test_bounded_store_stays_consistent_under_concurrent_load(
+    monkeypatch,
+):
+    import sys
+
+    bound = 8
+    monkeypatch.setattr(jobstore, "MAX_TERMINAL_JOBS", bound)
+    runner = CountingRunner()
+    scheduler = Scheduler(workers=3, runner=runner)
+    configs = ["serial", "ht_on_4_1", "ht_off_2_2", "ht_on_8_2"]
+    workloads = ["cg", "mg", "ft"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        def client():
+            for i in range(50):
+                scheduler.submit({**RUN_CG, "workload": workloads[i % 3],
+                                  "config": configs[i % 4]})
+
+        threads = [threading.Thread(target=client) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        deadline = time.monotonic() + 10
+        while True:
+            jobs = scheduler.stats()["jobs"]
+            if jobs["queued"] + jobs["running"] == 0:
+                break
+            assert time.monotonic() < deadline, jobs
+            time.sleep(0.005)
+        assert jobs["submitted"] == jobs["done"] == 400
+        assert len(scheduler.store) == bound
+        assert len(scheduler._done) <= bound
+        assert all(j.terminal for j in scheduler.store.jobs())
+        counters = scheduler.stats()["counters"]
+        assert counters["engine_calls"] + counters["dedup_hits"] + \
+            counters["cache_hits"] == 400
+        assert runner.calls == counters["engine_calls"]
+    finally:
+        sys.setswitchinterval(interval)
+        _shutdown(scheduler)
 
 
 # ----------------------------------------------------------------------

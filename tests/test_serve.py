@@ -196,6 +196,113 @@ def test_http_dedup_and_stats_closure(serve_client):
     assert stats["latency"]["observed"] == 3
 
 
+def test_http_evicted_job_answers_404_expired(serve_client, monkeypatch):
+    monkeypatch.setattr(jobstore, "MAX_TERMINAL_JOBS", 2)
+    runner = BlockingRunner()
+    runner.release.set()
+    client = serve_client(runner=runner, workers=1)
+    ids = []
+    for config in ("serial", "ht_on_2_1", "ht_on_4_1", "ht_off_2_2"):
+        _, job = client.post("/jobs", {**RUN_CG, "config": config})
+        ids.append(client.wait(job["id"])["id"])
+    assert len(client.scheduler.store) == 2
+    for path in (f"/jobs/{ids[0]}", f"/jobs/{ids[0]}/result"):
+        status, body = client.get(path)
+        assert status == 404 and "expired" in body["error"], body
+    status, body = client.delete(f"/jobs/{ids[1]}")
+    assert status == 404 and "expired" in body["error"], body
+    status, body = client.get("/jobs/j999999")
+    assert status == 404 and "expired" not in body["error"]
+    status, body = client.get(f"/jobs/{ids[-1]}/result")
+    assert status == 200 and body["result"] == {"ok": True}
+    _, stats = client.get("/stats")
+    c = stats["jobs"]
+    assert c["submitted"] == c["done"] == 4
+
+
+# ----------------------------------------------------------------------
+# Keep-alive transport
+
+
+def _keep_alive(port):
+    import http.client
+
+    return http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+
+
+def test_each_response_leaves_in_one_send_with_nagle_off(
+    serve_client, monkeypatch
+):
+    import socket
+
+    client = serve_client()
+    port = client.app.port
+    sends = []
+
+    def spy(name):
+        real = getattr(socket.socket, name)
+
+        def wrapper(self, data, *args):
+            if self.getsockname()[1] == port:  # the server's end
+                sends.append(self.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY))
+            return real(self, data, *args)
+        return wrapper
+
+    for name in ("send", "sendall"):
+        monkeypatch.setattr(socket.socket, name, spy(name))
+    conn = _keep_alive(port)
+    requests = [("GET", "/healthz", None), ("GET", "/stats", None),
+                ("GET", "/jobs/j999999", None), ("GET", "/nope", None),
+                ("POST", "/jobs", b"{}")]
+    try:
+        for method, path, body in requests:
+            conn.request(method, path, body=body)
+            resp = conn.getresponse()
+            resp.read()
+            assert not resp.will_close
+    finally:
+        conn.close()
+    assert len(sends) == len(requests)
+    assert all(sends)
+
+
+def test_expect_100_continue_is_sent_before_the_body(serve_client):
+    import socket
+
+    client = serve_client()
+    body = json.dumps({"kind": "bogus"}).encode()
+    with socket.create_connection(("127.0.0.1", client.app.port),
+                                  timeout=5) as sock:
+        sock.sendall(
+            b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Expect: 100-continue\r\n"
+            b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n"
+        )
+        assert sock.recv(64).startswith(b"HTTP/1.1 100 ")
+        sock.sendall(body)
+        assert sock.recv(4096).startswith(b"HTTP/1.1 400 ")
+
+
+def test_keep_alive_requests_do_not_stall(serve_client):
+    """50 sequential requests on one connection: with a delayed-ACK
+    stall per response they take >= 2 s; without, a few ms each."""
+    client = serve_client()
+    conn = _keep_alive(client.app.port)
+    try:
+        start = time.perf_counter()
+        for _ in range(50):
+            conn.request("GET", "/healthz")
+            resp = conn.getresponse()
+            assert resp.status == 200
+            resp.read()
+        elapsed = time.perf_counter() - start
+    finally:
+        conn.close()
+    assert elapsed < 1.0, f"50 keep-alive requests took {elapsed:.2f} s"
+
+
 # ----------------------------------------------------------------------
 # CLI daemon (subprocess)
 
@@ -209,10 +316,26 @@ def _env():
     return env
 
 
-def _start_server(*extra_args):
+#: ``repro serve`` whose runner holds every job (cooperatively) until it
+#: is cancelled, so a drain always finds work in flight.
+_HOLDING_SERVE = """
+import sys, threading
+from repro import supervise
+from repro.cli import main
+from repro.serve.runner import JobRunner
+
+def hold(self, spec):
+    while not threading.Event().wait(0.002):
+        supervise.check("held job")
+
+JobRunner.__call__ = hold
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _start_server(*extra_args, entry=("-m", "repro")):
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0",
-         *extra_args],
+        [sys.executable, *entry, "serve", "--port", "0", *extra_args],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         env=_env(),
     )
@@ -277,19 +400,17 @@ def test_cli_sigterm_clean_drain_exits_zero(tmp_path):
 def test_cli_sigterm_with_inflight_jobs_exits_four(tmp_path):
     proc, port, _ = _start_server(
         "--state-dir", str(tmp_path), "--workers", "1",
-        "--drain-timeout", "0.05",
+        "--drain-timeout", "0.05", entry=("-c", _HOLDING_SERVE),
     )
     try:
-        # Flood one worker with distinct full-sweep experiment jobs so
-        # the queue is deep when the signal lands; the 50 ms grace
-        # cannot clear whole figure sweeps.
-        for problem_class in ("S", "W", "A", "B"):
-            for scheduler in ("linux_default", "gang"):
-                _post_job(port, {
-                    "kind": "experiment", "experiment": "fig3",
-                    "problem_class": problem_class,
-                    "scheduler": scheduler,
-                })
+        # One job held running by the worker, one queued behind it:
+        # neither can finish inside the 50 ms grace, on any host.
+        running = _post_job(port, dict(RUN_CG))
+        _post_job(port, {**RUN_CG, "config": "ht_on_4_1"})
+        deadline = time.monotonic() + 20.0
+        while _get(port, f"/jobs/{running['id']}")["state"] != "running":
+            assert time.monotonic() < deadline, "job never started"
+            time.sleep(0.01)
         proc.send_signal(signal.SIGTERM)
         out, _ = proc.communicate(timeout=30)
     finally:
@@ -300,14 +421,14 @@ def test_cli_sigterm_with_inflight_jobs_exits_four(tmp_path):
     state = jobstore.load_jobs_journal(
         tmp_path / jobstore.JOBS_JOURNAL_NAME
     )
-    assert not state.clean_shutdown or state.drain_cancelled > 0
+    assert state.clean_shutdown and state.drain_cancelled == 2
     # The drain left every job terminal — nothing half-open.
     assert not state.resumable
     cancelled = [
         j for j in state.jobs.values()
         if j.state == jobstore.CANCELLED
     ]
-    assert cancelled
+    assert len(cancelled) == 2
 
 
 @pytest.mark.slow
@@ -360,6 +481,27 @@ def test_cli_serve_rejects_bad_flags():
         )
         assert proc.returncode == 2, (args, proc.stderr)
         assert fragment in proc.stderr, (args, proc.stderr)
+
+
+def test_cli_serve_bounds_the_run_cache_memory_tier(monkeypatch):
+    from repro import cli
+    from repro.core import runcache
+    from repro.serve import app, runner
+
+    seen = {}
+
+    def fake_serve_forever(scheduler, **kwargs):
+        seen["bound"] = runcache.get_cache().max_memory_entries
+        scheduler.shutdown(0)
+        return 0
+
+    monkeypatch.setattr(app, "serve_forever", fake_serve_forever)
+    runcache.configure(reset=True)
+    try:
+        assert cli.main(["serve", "--port", "0"]) == 0
+    finally:
+        runcache.configure(reset=True)
+    assert seen["bound"] == runner.MEMORY_TIER_RUNS
 
 
 def test_cli_serve_env_validation():
