@@ -13,6 +13,7 @@ the per-run cost visible in the committed baselines.
 import pytest
 
 from repro import supervise
+from repro.core.context import override
 from repro.supervise import Budget
 
 pytestmark = pytest.mark.smoke
@@ -20,16 +21,13 @@ pytestmark = pytest.mark.smoke
 
 def _run_uncached(study, supervised):
     supervise.reset()
-    if supervised:
-        # Generous enough never to fire: measures pure checkpoint cost.
-        supervise.set_budget(
-            Budget(run_timeout_s=3600, experiment_timeout_s=3600).arm()
-        )
-        supervise.begin_task("bench")
-    try:
+    # Generous enough never to fire: measures pure checkpoint cost.
+    budget = (
+        Budget(run_timeout_s=3600, experiment_timeout_s=3600).arm()
+        if supervised else None
+    )
+    with override(budget=budget) as ctx, ctx.for_task("bench").active():
         return study.engine("ht_off_4_2").run_single(study.workload("CG"))
-    finally:
-        supervise.reset()
 
 
 def test_bench_engine_run_unsupervised(benchmark, study):

@@ -18,11 +18,9 @@ or pool scheduling (the auditor would force the batched path scalar).
 
 import pytest
 
-from repro import verify
+from repro.core.context import override
 from repro.core.runcache import configure
 from repro.experiments import sensitivity_study
-from repro.sim import batch
-from repro.sim.parallel import set_default_jobs
 
 pytestmark = pytest.mark.smoke
 
@@ -33,16 +31,13 @@ def test_bench_sensitivity_sweep(benchmark, mode):
 
     def sweep():
         configure(reset=True, enabled=False)
-        with verify.verification(False), batch.batch_mode(batch_mode):
+        with override(verify=False, batch=batch_mode, jobs=1):
             return sensitivity_study.run(jobs=1)
 
-    set_default_jobs(1)
     try:
         result = benchmark.pedantic(sweep, rounds=2, iterations=1)
     finally:
-        set_default_jobs(None)
         configure(reset=True, enabled=True)
-    batch.take_stats()
     print()
     print(sensitivity_study.report(result))
     assert len(result.f1.rows) == 24

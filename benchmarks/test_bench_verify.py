@@ -11,12 +11,13 @@ the per-run cost visible in the committed baselines.
 import pytest
 
 from repro import verify
+from repro.core.context import override
 
 pytestmark = pytest.mark.smoke
 
 
 def _run_uncached(study, verify_on):
-    with verify.verification(verify_on):
+    with override(verify=verify_on):
         return study.engine("ht_off_4_2").run_single(study.workload("CG"))
 
 

@@ -9,7 +9,7 @@ ride in the CI smoke subset.
 
 import pytest
 
-from repro import verify
+from repro.core.context import override
 from repro.core.study import Study
 from repro.machine.registry import resolve_machine
 from repro.sim.batch import run_batched_single
@@ -27,7 +27,7 @@ def test_bench_minigmg_batched_sweep(benchmark):
     workloads = [st.workload("minigmg") for st in studies]
 
     def sweep():
-        with verify.verification(False):
+        with override(verify=False):
             return run_batched_single(
                 [st.engine(_CONFIG) for st in studies], workloads
             )
@@ -36,7 +36,7 @@ def test_bench_minigmg_batched_sweep(benchmark):
     assert results is not None and len(results) == len(_MACHINES)
     print()
     for name, st, wl, res in zip(_MACHINES, studies, workloads, results):
-        with verify.verification(False):
+        with override(verify=False):
             scalar = st.engine(_CONFIG).run_single(wl)
         assert res.runtime_seconds == scalar.runtime_seconds
         print(f"minigmg on {name}: {res.runtime_seconds:.3f}s simulated")

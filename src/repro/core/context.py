@@ -17,6 +17,24 @@ single value threaded through every driver:
   registry id, so dependent experiments (and the CSV exporter) consume
   data instead of re-running it.
 
+**The active context.**  The runtime switches a context carries —
+batch mode, verification, the fault plan, the budget and the default
+job count — are read wherever the work runs through :func:`current`,
+one :class:`contextvars.ContextVar`.  ``with ctx.active():`` makes a
+context current for a block; each reader falls back to its environment
+variable (``REPRO_BATCH``, ``REPRO_VERIFY``, ``REPRO_FAULTS``,
+``REPRO_JOBS``) when no context is active or the field is ``None``.
+Per-task state lives on the active context too, in fields no caller
+sets: the task id, its deadline and cancel token (:meth:`for_task`),
+the run-key recorder of :func:`repro.sim.batch.record_run_keys` and the
+task's :class:`~repro.sim.batch.BatchStats`.  Because a ContextVar is
+per thread (and per :class:`contextvars.Context`), two jobs on two
+``repro serve`` worker threads never see each other's state; pool
+workers receive the caller's context pickled and activate it in
+:func:`repro.sim.parallel.parallel_map`'s worker initializer.
+:func:`override` is the test and benchmark form: a copy of the current
+context with some fields replaced, active for a block.
+
 Experiment drivers accept a context as their first argument; the
 :func:`as_context` coercion keeps older call sites working by wrapping a
 bare :class:`~repro.core.study.Study` (or ``None``) on the fly.
@@ -24,32 +42,44 @@ bare :class:`~repro.core.study.Study` (or ``None``) on the fly.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import time
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Union,
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence,
+    Set, Tuple, Union,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.batch import BatchStats
     from repro.supervise.budget import Budget
 
 from repro.core.runcache import configure, study_fingerprint
 from repro.core.study import Study
-from repro.testing import faults as _faults
 from repro.testing.faults import FaultPlan
-from repro import verify as _verify
 from repro.machine.params import MachineParams
 from repro.machine.registry import DEFAULT_MACHINE, resolve_machine
 from repro.machine.spec import MachineSpec
 from repro.npb.common import ProblemClass
 from repro.openmp.env import OMPEnvironment
+from repro.supervise.cancel import CancelToken
 
-__all__ = ["RunContext", "as_context"]
+__all__ = ["RunContext", "as_context", "current", "install", "override"]
 
 #: Sentinel distinguishing "inherit from the context" from an explicit
 #: ``None`` (= platform default) override.
 _INHERIT = object()
+
+
+def _fresh_batch_stats() -> "BatchStats":
+    # Imported on first use: the batched engine is not needed to list
+    # experiments, and importing it would slow every CLI start.
+    from repro.sim.batch import BatchStats
+
+    return BatchStats()
 
 
 @dataclass
@@ -77,30 +107,25 @@ class RunContext:
     #: Run-cache switches, applied via :meth:`apply_cache_config`.
     cache_enabled: bool = True
     cache_dir: Optional[Path] = None
-    #: Fault-injection plan for robustness drills; carried into pool
-    #: workers by :meth:`apply_runtime_config` so injected faults fire
-    #: identically on the serial and parallel pipeline paths.
+    #: Fault-injection plan for robustness drills (``None`` defers to
+    #: ``REPRO_FAULTS``).
     faults: Optional[FaultPlan] = None
     #: Runtime verification switch for the invariant auditor
     #: (:mod:`repro.verify`).  ``None`` defers to the ``REPRO_VERIFY``
     #: environment variable and the audit-under-pytest default; an
-    #: explicit ``True``/``False`` wins, and is carried into pool
-    #: workers by :meth:`apply_runtime_config` like the fault plan.
+    #: explicit ``True``/``False`` wins.
     verify: Optional[bool] = None
     #: Machine-axis batching for sweep experiments
     #: (:mod:`repro.sim.batch`): ``"auto"`` batches whenever a sweep has
     #: two or more machine lanes and nothing forces scalar runs,
     #: ``"on"`` forces the batched engine even for single lanes,
     #: ``"off"`` disables it.  ``None`` defers to the ``REPRO_BATCH``
-    #: environment variable (default ``auto``).  Carried into pool
-    #: workers by :meth:`apply_runtime_config` like the fault plan.
+    #: environment variable (default ``auto``).
     batch: Optional[str] = None
     #: Wall-time budget (:class:`~repro.supervise.budget.Budget`) for
-    #: the campaign and/or each experiment.  Mirrored into the
-    #: process-global supervision state — and into every pool worker —
-    #: by :meth:`apply_runtime_config`, exactly like the fault plan;
-    #: armed budgets use absolute monotonic deadlines, which fork-based
-    #: workers on the same host compare against the same clock.
+    #: the campaign and/or each experiment.  Armed budgets use absolute
+    #: monotonic deadlines, which pool workers on the same host compare
+    #: against the same clock.
     budget: Optional["Budget"] = None
     #: Workloads the benchmark-matrix experiments sweep (names, spec
     #: file paths, or :class:`~repro.workload.spec.WorkloadSpec`
@@ -118,8 +143,39 @@ class RunContext:
     #: pipeline uses this to attribute studies to experiments).
     _touched: Set[str] = field(default_factory=set, init=False, repr=False)
 
+    #: Per-task state (see :meth:`for_task`); never set by callers.
+    #: ``task_id`` names the task in deadline messages.
+    task_id: Optional[str] = field(default=None, init=False, repr=False)
+    task_timeout_s: Optional[float] = field(
+        default=None, init=False, repr=False
+    )
+    #: Absolute monotonic deadline of the running task.
+    deadline: Optional[float] = field(default=None, init=False, repr=False)
+    #: The task's own cancel token (the process token always applies).
+    token: Optional[CancelToken] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: Called with every ``Study`` run key requested while active.
+    run_key_recorder: Optional[Callable[[Tuple[str, ...]], None]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    batch_stats: "BatchStats" = field(
+        default_factory=_fresh_batch_stats, init=False, repr=False,
+        compare=False,
+    )
+
     # ------------------------------------------------------------------
     def __post_init__(self) -> None:
+        if self.batch is not None:
+            from repro.sim.batch import BATCH_MODES
+
+            if self.batch not in BATCH_MODES:
+                raise ValueError(
+                    f"batch mode must be one of {BATCH_MODES}, "
+                    f"got {self.batch!r}"
+                )
+        if self.jobs is not None and self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
         if self.machine is not None:
             spec = resolve_machine(self.machine)
             if self.params is not None and self.params != spec.to_params():
@@ -232,29 +288,63 @@ class RunContext:
         else:
             configure(enabled=True)
 
-    def apply_runtime_config(self) -> None:
-        """Apply every process-global switch the context carries: the
-        run-cache configuration, the fault-injection plan, and the
-        verification switch.  The explicit plan slot mirrors
-        ``self.faults`` exactly — a context without faults clears any
-        plan left over from a previous run in the same process (a
-        resumed run must not re-fail experiments).  Plans supplied via
-        ``REPRO_FAULTS`` are unaffected: they live in the environment
-        fallback, not the explicit slot.  ``self.verify`` mirrors into
-        :func:`repro.verify.activate` the same way (``None`` clears the
-        explicit switch, deferring to ``REPRO_VERIFY``/pytest)."""
-        self.apply_cache_config()
-        if self.faults is not None:
-            _faults.activate(self.faults)
-        else:
-            _faults.deactivate()
-        _verify.activate(self.verify)
-        from repro.sim import batch as _batch
+    @contextlib.contextmanager
+    def active(self) -> Iterator["RunContext"]:
+        """Make this the :func:`current` context for the block."""
+        reset_token = _ACTIVE.set(self)
+        try:
+            yield self
+        finally:
+            _ACTIVE.reset(reset_token)
 
-        _batch.set_mode(self.batch)
-        from repro import supervise as _supervise
+    def derive(self, **changes: Any) -> "RunContext":
+        """A copy with ``changes`` applied.
 
-        _supervise.set_budget(self.budget)
+        Per-task state carries over unless ``changes`` names it, so a
+        block nested in a task (a run-key recording, a test override)
+        still counts into the task's batch stats and keeps its
+        deadline.  The study pool starts empty.
+        """
+        state = {
+            name: changes.pop(name, getattr(self, name))
+            for name in _TASK_STATE
+        }
+        ctx = dataclasses.replace(self, **changes)
+        ctx.__dict__.update(state)
+        return ctx
+
+    def for_task(
+        self,
+        task_id: str,
+        token: Optional[CancelToken] = None,
+        timeout_s: Optional[float] = None,
+        now: Optional[float] = None,
+    ) -> "RunContext":
+        """This context narrowed to one task, with fresh batch stats.
+
+        The deadline is ``timeout_s`` from ``now`` when given, else the
+        armed budget's per-experiment deadline (none when unbudgeted).
+        """
+        now = time.monotonic() if now is None else now
+        deadline = None
+        if timeout_s is not None:
+            deadline = now + timeout_s
+        elif self.budget is not None and self.budget.armed:
+            deadline = self.budget.experiment_deadline(now)
+            timeout_s = (self.budget.experiment_timeout_s
+                         or self.budget.run_timeout_s)
+        return self.derive(
+            task_id=task_id, task_timeout_s=timeout_s, deadline=deadline,
+            token=token, run_key_recorder=None,
+            batch_stats=_fresh_batch_stats(),
+        )
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The token and recorder belong to this process; a pool worker
+        # keeps the deadline, which is on the host's monotonic clock.
+        state = dict(self.__dict__)
+        state["token"] = state["run_key_recorder"] = None
+        return state
 
     # ------------------------------------------------------------------
     @property
@@ -288,6 +378,36 @@ class RunContext:
         )
         ctx._studies = dict(self._studies)
         return ctx
+
+
+#: Per-task fields :meth:`RunContext.derive` carries over.
+_TASK_STATE = (
+    "task_id", "task_timeout_s", "deadline", "token", "run_key_recorder",
+    "batch_stats",
+)
+
+_ACTIVE: ContextVar[Optional[RunContext]] = ContextVar(
+    "repro_run_context", default=None
+)
+
+
+def current() -> Optional[RunContext]:
+    """The active context of this thread or task, if any."""
+    return _ACTIVE.get()
+
+
+def install(ctx: Optional[RunContext]) -> None:
+    """Make ``ctx`` active for the rest of this thread — the form of
+    :meth:`RunContext.active` a pool worker's initializer needs."""
+    _ACTIVE.set(ctx)
+
+
+@contextlib.contextmanager
+def override(**fields: Any) -> Iterator[RunContext]:
+    """Activate the current context (a default one when none is active)
+    with ``fields`` replaced, for the block — tests and benchmarks."""
+    with (current() or RunContext()).derive(**fields).active() as ctx:
+        yield ctx
 
 
 def as_context(obj: Union[None, RunContext, Study] = None) -> RunContext:

@@ -9,7 +9,7 @@ disk tier is enabled — share results instead of re-simulating.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.speedup import SpeedupTable, speedup_table
 from repro.core.runcache import RunCache, get_cache, study_fingerprint
@@ -31,23 +31,6 @@ from repro.osmodel.scheduler import make_scheduler
 from repro.sim.engine import Engine
 from repro.sim.results import RunResult
 from repro.trace.phase import Workload
-
-
-#: Observation hook invoked with ``(study, key)`` at the top of every
-#: cached-run lookup.  The batched sweep planner (:mod:`repro.sim.batch`)
-#: installs a recorder here to learn which runs a sweep lane needs, then
-#: prefetches the same keys for every other lane in one batched resolve.
-RunKeyHook = Callable[["Study", Tuple[str, ...]], None]
-_run_key_hook: Optional[RunKeyHook] = None
-
-
-def set_run_key_hook(hook: Optional[RunKeyHook]) -> Optional[RunKeyHook]:
-    """Install (or clear) the run-key observation hook; returns the
-    previous hook so callers can restore it."""
-    global _run_key_hook
-    prev = _run_key_hook
-    _run_key_hook = hook
-    return prev
 
 
 class Study:
@@ -97,8 +80,13 @@ class Study:
         return get_cache()
 
     def _cached_run(self, key: Tuple[str, ...], compute) -> RunResult:
-        if _run_key_hook is not None:
-            _run_key_hook(self, key)
+        # The batched sweep planner (repro.sim.batch.record_run_keys)
+        # learns which runs a sweep lane needs through this recorder.
+        from repro.core.context import current
+
+        ctx = current()
+        if ctx is not None and ctx.run_key_recorder is not None:
+            ctx.run_key_recorder(key)
         cache = self._cache
         value = cache.get(self._fingerprint, key)
         if cache.is_miss(value):

@@ -61,12 +61,7 @@ from repro.core.runcache import get_cache
 from repro.experiments import registry
 from repro import supervise
 from repro.sim import batch as _batch
-from repro.sim.parallel import (
-    FallbackReport,
-    parallel_map,
-    resolve_jobs,
-    set_default_jobs,
-)
+from repro.sim.parallel import FallbackReport, parallel_map, resolve_jobs
 from repro.supervise.journal import JOURNAL_NAME, Journal, load_journal
 from repro.testing import faults
 
@@ -235,16 +230,19 @@ def _execute(
     different: it becomes an :class:`ExperimentCancellation`, and the
     process-wide token is set so the pipeline winds the whole campaign
     down instead of starting the next task.
+
+    The experiment runs under its own task context (:meth:`RunContext.
+    for_task`): its deadline and batch counters belong to it alone.
     """
     before = get_cache().stats.snapshot()
     ctx.touched_fingerprints(reset=True)
-    _batch.take_stats()  # drop counters left over from a previous entry
-    supervise.begin_task(entry.id)
+    task = ctx.for_task(f"experiment {entry.id}")
     start = time.perf_counter()
     try:
-        faults.maybe_fail_experiment(entry.id)
-        result = entry.run(ctx)
-        text = entry.render_text(result)
+        with task.active():
+            faults.maybe_fail_experiment(entry.id)
+            result = entry.run(ctx)
+            text = entry.render_text(result)
     except supervise.CancelledRun as exc:
         return ExperimentCancellation(
             id=entry.id, wave=wave, reason=str(exc),
@@ -269,8 +267,6 @@ def _execute(
             traceback=_traceback.format_exc(),
             wall_time_s=time.perf_counter() - start,
         )
-    finally:
-        supervise.end_task()
     wall = time.perf_counter() - start
     return ExperimentRecord(
         id=entry.id,
@@ -279,24 +275,23 @@ def _execute(
         wall_time_s=wall,
         cache=get_cache().stats.since(before).as_dict(),
         study_fingerprints=ctx.touched_fingerprints(),
-        batch=_batch.take_stats().as_dict(),
+        batch=task.batch_stats.as_dict(),
         wave=wave,
     )
-
-
-def _worker_init() -> None:
-    """Pool-worker setup: the pipeline is already the fan-out level, so
-    sweeps inside a worker must not spawn nested pools."""
-    set_default_jobs(1)
 
 
 def _pipeline_task(
     task: Tuple[str, RunContext, int]
 ) -> Union[ExperimentRecord, ExperimentFailure, ExperimentCancellation]:
-    """Parallel worker: configure the process, run, measure (picklable)."""
+    """Parallel worker: configure the cache, run, measure (picklable).
+
+    The task's context is spawned with ``jobs=1``: the pipeline is
+    already the fan-out level, so sweeps inside a worker stay serial.
+    """
     entry_id, ctx, wave = task
-    ctx.apply_runtime_config()
-    return _execute(registry.get(entry_id), ctx, wave)
+    ctx.apply_cache_config()
+    with ctx.active():
+        return _execute(registry.get(entry_id), ctx, wave)
 
 
 def run_pipeline(
@@ -331,7 +326,19 @@ def run_pipeline(
     SIGKILLed campaign is resumable without a manifest.
     """
     ctx = as_context(ctx)
-    ctx.apply_runtime_config()
+    ctx.apply_cache_config()
+    with ctx.active():
+        return _run_pipeline(ctx, only, skip, progress, resume, journal)
+
+
+def _run_pipeline(
+    ctx: RunContext,
+    only: Optional[Sequence[str]],
+    skip: Optional[Sequence[str]],
+    progress: Optional[Callable[[str], None]],
+    resume: Optional[ResumeState],
+    journal: Optional[Journal],
+) -> PipelineResult:
     entries = registry.select(only=only, skip=skip)
     waves = registry.execution_waves(entries)
     selected = {e.id for e in entries}
@@ -346,7 +353,7 @@ def run_pipeline(
         token = supervise.token()
         if token.cancelled:
             return token.reason or "cancelled"
-        budget = supervise.current_budget()
+        budget = ctx.budget
         if budget is not None and budget.armed and budget.run_overdrawn():
             return f"run budget exhausted ({budget.run_timeout_s}s)"
         return None
@@ -442,7 +449,6 @@ def run_pipeline(
 
             parallel_map(
                 _pipeline_task, tasks, jobs=n_jobs,
-                initializer=_worker_init,
                 on_fallback=out.fallbacks.append,
                 on_result=pool_result,
             )
@@ -664,7 +670,7 @@ def _build_manifest(
         status = "complete"
     else:
         status = "partial"
-    budget = supervise.current_budget()
+    budget = ctx.budget
     pc = ctx.problem_class
     return {
         "schema": MANIFEST_SCHEMA,

@@ -10,10 +10,12 @@ path that keeps cached submissions out of the worker pool entirely).
 Studies are memoized per (machine, problem class, scheduler) so
 concurrent jobs against the same configuration share workload models
 and the run cache's memory tier.  Cooperative supervision (the per-job
-token and deadline the scheduler installs via
-:func:`repro.supervise.scope`) reaches the engine through its
+token and deadline on the task context the scheduler activates)
+reaches the engine through its
 :class:`~repro.supervise.observer.SupervisionObserver` — the runner
 itself only adds a checkpoint between the runs of a multi-run job.
+Experiment jobs run under their own context derived from that task
+context, so they keep its token, deadline and runtime switches.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import threading
 from typing import Any, Dict, Optional, Tuple
 
 from repro import supervise
+from repro.core.context import RunContext, current
 from repro.core.study import Study
 from repro.serve.schema import JobSpec
 from repro.sim.results import RunResult
@@ -126,20 +129,25 @@ class JobRunner:
         return self._run_experiment(spec)
 
     def _run_experiment(self, spec: JobSpec) -> Dict[str, Any]:
-        from repro.core.context import RunContext
         from repro.experiments import registry
 
         # Workload tokens carry their content fingerprint for the dedup
         # key; the context wants registry-resolvable names.
         names = [t.rpartition("@")[0] or t for t in spec.workloads]
-        ctx = RunContext(
+        # Derived from the task context: the job's context keeps the
+        # execution's cancel token and deadline.
+        ctx = (current() or RunContext()).derive(
             problem_class=spec.problem_class,
+            params=None,
             machine=spec.machine,
             scheduler=spec.scheduler,
+            omp=None,
             workloads=names or None,
             jobs=self.jobs,
+            results={},
         )
         entry = registry.get(spec.experiment or "")
-        result = entry.run(ctx)
-        supervise.check("experiment complete")
+        with ctx.active():
+            result = entry.run(ctx)
+            supervise.check("experiment complete")
         return entry.json_payload(result)

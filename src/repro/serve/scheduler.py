@@ -12,11 +12,16 @@ job_key`) and takes exactly one of three paths, checked in order:
 3. **executed** — a fresh :class:`_Execution` is queued for the worker
    pool.
 
-Workers run each execution inside a per-job supervision scope
-(:func:`repro.supervise.scope`): a cooperative
-:class:`~repro.supervise.cancel.CancelToken` plus an optional per-job
-wall-time budget, enforced at engine step boundaries by the same
+The scheduler captures the :mod:`contextvars` context it was built in
+(so an embedder's active :class:`~repro.core.context.RunContext` —
+verification, batch mode, fault plan — governs its jobs), and workers
+run each execution in a copy of it under a task context
+(:meth:`~repro.core.context.RunContext.for_task`) carrying the
+execution's cooperative :class:`~repro.supervise.cancel.CancelToken`
+and the optional per-job wall-time budget, enforced at engine step
+boundaries by the same
 :class:`~repro.supervise.observer.SupervisionObserver` the CLI uses.
+Concurrent jobs never share runtime state.
 ``DELETE``-ing the last live waiter of an execution cancels the
 underlying run; cancelling one of several waiters only detaches it.
 
@@ -33,6 +38,7 @@ journaling) a loadable ``jobs.wal.jsonl`` behind it.
 
 from __future__ import annotations
 
+import contextvars
 import queue
 import threading
 import time
@@ -44,6 +50,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
 from repro import supervise
+from repro.core.context import RunContext, current
 from repro.serve import store as jobstore
 from repro.serve.schema import JobSpec, JobSpecError, job_key, parse_job
 from repro.serve.store import Job, JobJournal, JobStore
@@ -144,6 +151,7 @@ class Scheduler:
         self._runner = runner
         self._probe = getattr(runner, "probe", None)
         self.job_timeout_s = job_timeout_s
+        self._context = contextvars.copy_context()
         journal = None
         if state_dir is not None:
             journal = JobJournal(
@@ -321,11 +329,7 @@ class Scheduler:
                 )
                 continue
             try:
-                with supervise.scope(
-                    f"job:{execution.key}", execution.token,
-                    timeout_s=self.job_timeout_s,
-                ):
-                    result = self._runner(execution.spec)
+                result = self._context.copy().run(self._execute, execution)
             except CancelledRun as exc:
                 self._finalize(
                     execution, jobstore.CANCELLED, reason=str(exc)
@@ -345,6 +349,16 @@ class Scheduler:
                 )
             else:
                 self._finalize(execution, jobstore.DONE, result=result)
+
+    def _execute(self, execution: _Execution) -> Dict[str, Any]:
+        """Run one execution under its own task context (called inside
+        a copy of the scheduler's captured context)."""
+        task = (current() or RunContext()).for_task(
+            f"job {execution.key}", token=execution.token,
+            timeout_s=self.job_timeout_s,
+        )
+        with task.active():
+            return self._runner(execution.spec)
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:

@@ -34,14 +34,15 @@ Scalar fallback is always safe and automatic: runs with observers, the
 invariant auditor (``repro.verify``), an active fault plan, multiprogram
 or oversubscribed shapes, or mismatched placements/phase structures are
 simply left to the unmodified scalar path.  The ``batch`` knob
-(``auto`` | ``on`` | ``off``) is exposed on
-:class:`~repro.core.context.RunContext` and the ``REPRO_BATCH``
-environment variable.
+(``auto`` | ``on`` | ``off``) is read from the active
+:class:`~repro.core.context.RunContext`, falling back to the
+``REPRO_BATCH`` environment variable; the :class:`BatchStats` counters
+and the run-key recorder live on the active context too, so concurrent
+sweeps on different threads never mix them.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -88,9 +89,9 @@ from repro.trace.phase import Workload
 from repro import verify as _verify
 
 __all__ = [
+    "BATCH_MODES",
     "BatchStats",
     "BatchedFixedPointResolver",
-    "batch_mode",
     "batching_allowed",
     "get_mode",
     "note_scalar_fallback",
@@ -98,8 +99,6 @@ __all__ = [
     "record_run_keys",
     "run_batched_single",
     "runtime_forces_scalar",
-    "set_mode",
-    "take_stats",
 ]
 
 # ----------------------------------------------------------------------
@@ -108,37 +107,19 @@ __all__ = [
 
 #: Environment override for the batch mode (lowest precedence).
 BATCH_ENV = "REPRO_BATCH"
-_VALID_MODES = ("auto", "on", "off")
-_mode: Optional[str] = None
-
-
-def set_mode(mode: Optional[str]) -> None:
-    """Set the process-wide batch mode (``None`` restores env/default)."""
-    if mode is not None and mode not in _VALID_MODES:
-        raise ValueError(
-            f"batch mode must be one of {_VALID_MODES}, got {mode!r}"
-        )
-    global _mode
-    _mode = mode
+BATCH_MODES = ("auto", "on", "off")
 
 
 def get_mode() -> str:
-    """Effective batch mode: explicit > ``REPRO_BATCH`` env > ``auto``."""
-    if _mode is not None:
-        return _mode
+    """Effective batch mode: active context > ``REPRO_BATCH`` env >
+    ``auto``."""
+    from repro.core.context import current
+
+    ctx = current()
+    if ctx is not None and ctx.batch is not None:
+        return ctx.batch
     env = os.environ.get(BATCH_ENV, "").strip().lower()
-    return env if env in _VALID_MODES else "auto"
-
-
-@contextmanager
-def batch_mode(mode: Optional[str]) -> Iterator[None]:
-    """Temporarily pin the batch mode (tests, benchmarks)."""
-    prev = _mode
-    set_mode(mode)
-    try:
-        yield
-    finally:
-        set_mode(prev)
+    return env if env in BATCH_MODES else "auto"
 
 
 def batching_allowed(n_lanes: int) -> bool:
@@ -158,9 +139,9 @@ def batching_allowed(n_lanes: int) -> bool:
 
 
 def runtime_forces_scalar() -> bool:
-    """Process-wide state that demands per-machine scalar runs: the
-    invariant auditor observes each scalar resolve, and fault-injection
-    plans hook the scalar resolver output."""
+    """Switches that demand per-machine scalar runs: the invariant
+    auditor observes each scalar resolve, and fault-injection plans hook
+    the scalar resolver output."""
     return _verify.enabled() or faults.active_plan() is not None
 
 
@@ -171,8 +152,8 @@ def runtime_forces_scalar() -> bool:
 
 @dataclass
 class BatchStats:
-    """How a sweep's machines were executed (surfaced in the run-all
-    manifest and summary)."""
+    """How a task's sweep machines were executed (held on the active
+    context; surfaced in the run-all manifest and summary)."""
 
     #: Machines whose runs came from the batched engine.
     batched_machines: int = 0
@@ -191,34 +172,25 @@ class BatchStats:
         }
 
 
-_stats = BatchStats()
+def _stats() -> BatchStats:
+    """The active context's counters (a throwaway set outside one)."""
+    from repro.core.context import current
+
+    ctx = current()
+    return BatchStats() if ctx is None else ctx.batch_stats
 
 
 def note_batched(n: int = 1) -> None:
-    _stats.batched_machines += n
+    _stats().batched_machines += n
 
 
 def note_scalar_fallback(n: int = 1) -> None:
     """Record machines the batched path declined (ran scalar)."""
-    _stats.scalar_fallbacks += n
+    _stats().scalar_fallbacks += n
 
 
 def note_deduplicated(n: int = 1) -> None:
-    _stats.deduplicated_machines += n
-
-
-def take_stats() -> BatchStats:
-    """Return the accumulated stats and reset them (the run-all pipeline
-    brackets each experiment with this, like the parallel-map fallback
-    report)."""
-    global _stats
-    out = _stats
-    _stats = BatchStats()
-    return out
-
-
-def peek_stats() -> BatchStats:
-    return dataclasses.replace(_stats)
+    _stats().deduplicated_machines += n
 
 
 # ----------------------------------------------------------------------
@@ -920,22 +892,21 @@ def record_run_keys() -> Iterator[List[Tuple[str, ...]]]:
     """Record every ``Study`` run key requested inside the block (in
     first-request order, deduplicated) — the sweep drivers evaluate one
     recording lane scalar, then prefetch the same keys for every other
-    lane through the batched engine."""
-    from repro.core import study as _study
+    lane through the batched engine.  The recorder lives on a derived
+    active context, so it sees only this thread's requests and ends
+    with the block."""
+    from repro.core.context import override
 
     keys: List[Tuple[str, ...]] = []
     seen: Set[Tuple[str, ...]] = set()
 
-    def hook(study, key: Tuple[str, ...]) -> None:
+    def record(key: Tuple[str, ...]) -> None:
         if key not in seen:
             seen.add(key)
             keys.append(key)
 
-    prev = _study.set_run_key_hook(hook)
-    try:
+    with override(run_key_recorder=record):
         yield keys
-    finally:
-        _study.set_run_key_hook(prev)
 
 
 def prefetch_study_runs(studies: Sequence, keys: Sequence[Tuple[str, ...]]) -> None:

@@ -23,16 +23,17 @@ pool while keeping the *exact* semantics of the serial loop:
 * repeated pool failures open the ``process-pool`` circuit breaker
   (:mod:`repro.supervise.backoff`) and later calls go straight to the
   serial loop (``circuit-open``);
-* every degradation is recorded as a :class:`FallbackReport`
-  (retrievable via :func:`take_fallback_report`, or pushed to the
-  ``on_fallback`` callback) so callers like the experiment pipeline can
+* every degradation is pushed to the ``on_fallback`` callback as a
+  :class:`FallbackReport`, so callers like the experiment pipeline can
   surface it in their manifest instead of hiding it;
 * ``jobs=1`` (or a single task) short-circuits to the serial loop with
   zero pool overhead.
 
-The default job count is process-wide state (:func:`set_default_jobs`,
-initialized from ``REPRO_JOBS``) so a CLI flag can switch every sweep in
-a run without threading a parameter through the experiment registry.
+The default job count is the active
+:class:`~repro.core.context.RunContext`'s ``jobs`` (falling back to
+``REPRO_JOBS``), and every pool worker activates the caller's context
+in its initializer, so batch mode, verification, the fault plan and the
+budget govern the workers exactly as they govern the caller.
 
 Workers cooperate with the run cache of :mod:`repro.core.runcache`: each
 worker process has its own memory tier (seeded by fork from the parent),
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -62,8 +62,6 @@ __all__ = [
     "parallel_map",
     "resolve_jobs",
     "serial_map",
-    "set_default_jobs",
-    "take_fallback_report",
 ]
 
 
@@ -80,22 +78,15 @@ def serial_map(fn: Callable[["T"], "R"], items: Sequence["T"]) -> List["R"]:
 
 JOBS_ENV = "REPRO_JOBS"
 
-_default_jobs: Optional[int] = None
-
-
-def set_default_jobs(jobs: Optional[int]) -> None:
-    """Set the process-wide default parallelism (None = from env/serial)."""
-    global _default_jobs
-    if jobs is not None and jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    _default_jobs = jobs
-
 
 def get_default_jobs() -> int:
-    """Current default job count: explicit setting, else ``REPRO_JOBS``,
-    else 1 (serial — parallelism is opt-in)."""
-    if _default_jobs is not None:
-        return _default_jobs
+    """Current default job count: the active context's ``jobs``, else
+    ``REPRO_JOBS``, else 1 (serial — parallelism is opt-in)."""
+    from repro.core.context import current
+
+    ctx = current()
+    if ctx is not None and ctx.jobs is not None:
+        return ctx.jobs
     env = os.environ.get(JOBS_ENV, "").strip()
     if env:
         try:
@@ -140,22 +131,14 @@ class FallbackReport:
         }
 
 
-#: The most recent map's degradation event (None = clean pool run).
-#: Thread-local: the serve daemon runs jobs (and their nested sweeps)
-#: on concurrent worker threads, and one job's fallback report must
-#: not be harvested — or clobbered — by another's.
-_report_local = threading.local()
+def _init_worker(ctx, initializer, initargs) -> None:
+    """Pool-worker setup: the caller's context becomes the worker's
+    active context for its lifetime, then the caller's own hook runs."""
+    from repro.core.context import install
 
-
-def _set_last_report(report: Optional[FallbackReport]) -> None:
-    _report_local.report = report
-
-
-def take_fallback_report() -> Optional[FallbackReport]:
-    """Pop this thread's last :func:`parallel_map` fallback report."""
-    report = getattr(_report_local, "report", None)
-    _report_local.report = None
-    return report
+    install(ctx)
+    if initializer is not None:
+        initializer(*initargs)
 
 
 @dataclass
@@ -191,14 +174,13 @@ def parallel_map(
         jobs: worker count; None uses :func:`get_default_jobs`; 1 means
             the plain serial loop.
         initializer: optional per-worker setup hook (e.g. reconfiguring
-            the run cache, or pinning nested sweeps to ``jobs=1`` when
-            the *caller* is already the fan-out level).  Only invoked on
-            the pool path — the serial loop and the fallback run in the
-            caller's process, whose global state must stay untouched.
+            the run cache), run after the caller's active context is
+            activated in the worker.  Only invoked on the pool path —
+            the serial loop and the fallback run in the caller's
+            process, whose global state must stay untouched.
         initargs: arguments for ``initializer``.
         on_fallback: called with the :class:`FallbackReport` when the
-            pool degrades (the report is also held for
-            :func:`take_fallback_report`).
+            pool degrades.
         task_timeout_s: the pool watchdog — if no task *completes*
             within this many seconds, the pool is declared hung: its
             workers are killed and every unfinished task re-runs
@@ -216,10 +198,10 @@ def parallel_map(
         both paths.  Exceptions raised *by fn* propagate either way;
         pool-infrastructure failures never do.
     """
+    from repro.core.context import current
     from repro.supervise import backoff as _backoff
     from repro.supervise import default_watchdog_s as _default_watchdog_s
 
-    _set_last_report(None)
     items = list(items)
     results: List[Any] = [None] * len(items)
     done = [False] * len(items)
@@ -237,7 +219,6 @@ def parallel_map(
         return results
 
     def degrade(report: FallbackReport) -> None:
-        _set_last_report(report)
         if on_fallback is not None:
             on_fallback(report)
 
@@ -265,8 +246,8 @@ def parallel_map(
     try:
         executor = ProcessPoolExecutor(
             max_workers=min(n_jobs, len(items)),
-            initializer=initializer,
-            initargs=initargs,
+            initializer=_init_worker,
+            initargs=(current(), initializer, initargs),
         )
     except OSError as exc:
         degrade(FallbackReport(

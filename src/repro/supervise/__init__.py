@@ -22,18 +22,20 @@ adds the supervision a long-running service needs on top of isolation:
   (:mod:`repro.supervise.backoff`).
 
 Like the fault (:mod:`repro.testing.faults`) and verification
-(:mod:`repro.verify`) switches, the active budget / task deadline /
-cancel token are process-global module state, mirrored into pool
-workers by ``RunContext.apply_runtime_config`` — so one knob governs
-the serial path, the pool path, and every engine run either spawns.
+(:mod:`repro.verify`) switches, the budget and the running task's id,
+deadline and own cancel token are read from the active
+:class:`~repro.core.context.RunContext` (:meth:`~repro.core.context.
+RunContext.for_task` sets the task fields), so a ``repro serve`` job,
+a pipeline experiment and the pool workers either spawns each enforce
+their own limits.  Only the signal-routed process token and the circuit
+breakers are process-wide: they are shared resources, not per-job
+switches.
 """
 
 from __future__ import annotations
 
-import contextlib
-import threading
 import time
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.supervise.backoff import (  # noqa: F401  (re-exports)
     BackoffPolicy,
@@ -86,49 +88,37 @@ __all__ = [
     "SupervisionObserver",
     "TIMEOUT_ENV",
     "active",
-    "begin_task",
     "breaker",
     "breaker_states",
     "budget_from_env",
     "check",
     "current_budget",
-    "current_scope",
     "default_watchdog_s",
-    "end_task",
     "install_signals",
     "load_journal",
     "reset",
     "reset_breakers",
-    "scope",
-    "set_budget",
     "token",
 ]
 
 # ----------------------------------------------------------------------
-# Process-global supervision state (mirrors the faults/verify pattern).
+# Process-wide supervision state: the signal-routed token.
 
-_budget: Optional[Budget] = None
-_task_id: Optional[str] = None
-_task_deadline: Optional[float] = None
-_task_timeout_s: Optional[float] = None
 _token = CancelToken()
 #: True while signal handlers route into the token (the CLI's run-all).
 _signals_armed = False
 
 
-def set_budget(budget: Optional[Budget]) -> None:
-    """Install the active budget (``None`` clears it).
+def _current():
+    from repro.core.context import current
 
-    Called by ``RunContext.apply_runtime_config`` on both the serial
-    path and inside every pool worker, so armed deadlines are enforced
-    wherever the work actually runs.
-    """
-    global _budget
-    _budget = budget
+    return current()
 
 
 def current_budget() -> Optional[Budget]:
-    return _budget
+    """The active context's budget, if any."""
+    ctx = _current()
+    return None if ctx is None else ctx.budget
 
 
 def token() -> CancelToken:
@@ -157,108 +147,6 @@ def install_signals():
     return _restore
 
 
-# ----------------------------------------------------------------------
-# Thread-scoped supervision (the serving layer's per-job story).
-#
-# The process-global budget/token above is the right shape for the CLI:
-# one campaign per process, signals route to one latch.  A long-running
-# `repro serve` daemon instead runs *many* jobs concurrently on worker
-# threads, each with its own cancellation token and deadline — one
-# client cancelling their job must not cancel everyone else's.  A
-# :func:`scope` installs exactly that: a per-thread (token, deadline)
-# consulted by :func:`check` and :func:`active` *before* the globals,
-# so the same SupervisionObserver enforces per-job supervision on
-# server threads and campaign supervision everywhere else.
-
-
-class _Scope:
-    """One thread's supervision frame: a token and an optional deadline."""
-
-    __slots__ = ("task_id", "token", "timeout_s", "deadline")
-
-    def __init__(
-        self,
-        task_id: str,
-        token: CancelToken,
-        timeout_s: Optional[float],
-        now: Optional[float] = None,
-    ) -> None:
-        self.task_id = task_id
-        self.token = token
-        self.timeout_s = timeout_s
-        if timeout_s is None:
-            self.deadline: Optional[float] = None
-        else:
-            self.deadline = (
-                time.monotonic() if now is None else now
-            ) + timeout_s
-
-
-_scope_local = threading.local()
-
-
-def _scope_stack() -> list:
-    stack = getattr(_scope_local, "stack", None)
-    if stack is None:
-        stack = _scope_local.stack = []
-    return stack
-
-
-def current_scope() -> Optional[_Scope]:
-    """The innermost supervision scope on this thread, if any."""
-    stack = getattr(_scope_local, "stack", None)
-    return stack[-1] if stack else None
-
-
-@contextlib.contextmanager
-def scope(
-    task_id: str,
-    token: Optional[CancelToken] = None,
-    timeout_s: Optional[float] = None,
-) -> Iterator[CancelToken]:
-    """Supervise the enclosed work with a per-thread token + deadline.
-
-    Yields the scope's :class:`CancelToken` (a fresh one when none is
-    given).  While active on this thread, :func:`check` raises
-    :class:`CancelledRun` when the token trips and
-    :class:`DeadlineExceeded` once ``timeout_s`` elapses, and
-    :func:`active` is True so engines attach their
-    :class:`SupervisionObserver` — the process-global budget and signal
-    token keep applying on top.  Scopes nest (innermost wins), and the
-    frame is popped even when the body raises.
-    """
-    entry = _Scope(task_id, token if token is not None else CancelToken(),
-                   timeout_s)
-    stack = _scope_stack()
-    stack.append(entry)
-    try:
-        yield entry.token
-    finally:
-        stack.pop()
-
-
-# ----------------------------------------------------------------------
-def begin_task(task_id: str, now: Optional[float] = None) -> None:
-    """Mark one experiment as the running task; compute its deadline
-    from the armed budget (no-op deadline when unbudgeted)."""
-    global _task_id, _task_deadline, _task_timeout_s
-    _task_id = task_id
-    if _budget is not None and _budget.armed:
-        now = time.monotonic() if now is None else now
-        _task_deadline = _budget.experiment_deadline(now)
-        _task_timeout_s = _budget.experiment_timeout_s
-    else:
-        _task_deadline = None
-        _task_timeout_s = None
-
-
-def end_task() -> None:
-    global _task_id, _task_deadline, _task_timeout_s
-    _task_id = None
-    _task_deadline = None
-    _task_timeout_s = None
-
-
 def active() -> bool:
     """Should engines attach a :class:`SupervisionObserver`?
 
@@ -267,12 +155,13 @@ def active() -> bool:
     (cancellation could arrive at any step).  Plain library and test
     use stays observer-free — and byte-identical — by default.
     """
-    return (
-        current_scope() is not None
-        or _task_deadline is not None
-        or _signals_armed
-        or _token.cancelled
-        or (_budget is not None and _budget.bounded)
+    if _signals_armed or _token.cancelled:
+        return True
+    ctx = _current()
+    return ctx is not None and (
+        ctx.token is not None
+        or ctx.deadline is not None
+        or (ctx.budget is not None and ctx.budget.bounded)
     )
 
 
@@ -283,33 +172,23 @@ def check(where: str = "") -> None:
     :class:`DeadlineExceeded` names what timed out (task or run) and by
     how much, so the pipeline's failure record is self-explanatory.
     """
-    frame = current_scope()
-    if frame is not None:
-        frame.token.raise_if_cancelled()
-        if frame.deadline is not None:
-            now = time.monotonic()
-            if now > frame.deadline:
-                raise DeadlineExceeded(
-                    f"job {frame.task_id} exceeded its wall-time budget "
-                    f"({frame.timeout_s}s, {now - frame.deadline:.2f}s over"
-                    + (f", at {where}" if where else "") + ")"
-                )
+    ctx = _current()
+    if ctx is not None and ctx.token is not None:
+        ctx.token.raise_if_cancelled()
     _token.raise_if_cancelled()
-    if _task_deadline is None and _budget is None:
+    if ctx is None or (ctx.deadline is None and ctx.budget is None):
         return
     now = time.monotonic()
-    if _task_deadline is not None and now > _task_deadline:
+    at = f", at {where}" if where else ""
+    if ctx.deadline is not None and now > ctx.deadline:
         raise DeadlineExceeded(
-            f"experiment {_task_id or '?'} exceeded its wall-time budget "
-            f"({_task_timeout_s or _budget.run_timeout_s}s, "
-            f"{now - _task_deadline:.2f}s over"
-            + (f", at {where}" if where else "") + ")"
+            f"{ctx.task_id or 'task'} exceeded its wall-time budget "
+            f"({ctx.task_timeout_s}s, {now - ctx.deadline:.2f}s over{at})"
         )
-    if _budget is not None and _budget.run_overdrawn(now):
+    if ctx.budget is not None and ctx.budget.run_overdrawn(now):
         raise DeadlineExceeded(
             f"run exceeded its wall-time budget "
-            f"({_budget.run_timeout_s}s"
-            + (f", at {where}" if where else "") + ")"
+            f"({ctx.budget.run_timeout_s}s{at})"
         )
 
 
@@ -322,21 +201,16 @@ def default_watchdog_s() -> Optional[float]:
     sweeps alike.  Cooperative checks fire first on healthy workers;
     the watchdog only reaps ones that stopped making progress.
     """
-    if _budget is not None and _budget.armed:
-        return _budget.experiment_timeout_s
+    budget = current_budget()
+    if budget is not None and budget.armed:
+        return budget.experiment_timeout_s
     return None
 
 
 def reset() -> None:
-    """Clear every piece of supervision state (tests, embedders).
-
-    Thread-scoped frames are per-thread by construction; only the
-    calling thread's stack can (and does) get cleared here.
-    """
+    """Clear the process-wide supervision state (tests, embedders): the
+    process token, the signal bookkeeping and the circuit breakers."""
     global _signals_armed
-    set_budget(None)
-    end_task()
     _token.reset()
     _signals_armed = False
-    _scope_stack().clear()
     reset_breakers()

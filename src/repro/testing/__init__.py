@@ -10,7 +10,6 @@ from repro.testing.faults import (  # noqa: F401
     FaultPlan,
     InjectedFault,
     active_plan,
-    injected_faults,
     parse_plan,
 )
 
@@ -18,6 +17,5 @@ __all__ = [
     "FaultPlan",
     "InjectedFault",
     "active_plan",
-    "injected_faults",
     "parse_plan",
 ]

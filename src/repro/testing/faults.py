@@ -2,11 +2,11 @@
 
 The pipeline, the run cache, and the parallel sweep runner each expose
 one *hook point* into this module.  All hooks are no-ops unless a
-:class:`FaultPlan` is active, so production code pays one attribute read
+:class:`FaultPlan` is active, so production code pays one context read
 per hook and nothing else.  A plan activates in one of two ways:
 
-* programmatically — :func:`activate` / :func:`deactivate`, or the
-  :func:`injected_faults` context manager (what the tests use);
+* programmatically — ``RunContext(faults=plan)`` on the active context
+  (:mod:`repro.core.context`; tests use ``override(faults=plan)``);
 * from the environment — ``REPRO_FAULTS=<spec>`` (what the CI fault
   drill uses; forked pool workers inherit it automatically).
 
@@ -64,18 +64,14 @@ import multiprocessing
 import os
 import signal
 import time
-from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Set
+from typing import Dict, Optional, Set
 
 __all__ = [
     "FAULTS_ENV",
     "FaultPlan",
     "FaultSpecError",
     "InjectedFault",
-    "activate",
     "active_plan",
-    "deactivate",
-    "injected_faults",
     "maybe_corrupt_cache_file",
     "maybe_fail_experiment",
     "maybe_hang_worker",
@@ -110,8 +106,9 @@ class FaultPlan:
     """A declarative set of faults to inject.
 
     Immutable so a plan can be shared across a ``RunContext`` and its
-    pool workers without aliasing surprises; mutable bookkeeping (which
-    entries were already corrupted) lives in module state instead.
+    pool workers without aliasing surprises; the one piece of mutable
+    bookkeeping (which entries this plan already corrupted) is an
+    uncompared set that each process's copy of the plan keeps.
     """
 
     #: experiment id -> exception message for :class:`InjectedFault`.
@@ -134,6 +131,9 @@ class FaultPlan:
     sigkill_wave: Optional[int] = None
     #: Milliseconds of injected latency per disk-cache read (0 = off).
     slow_cache_ms: float = 0.0
+    _corrupted: Set[str] = dataclasses.field(
+        default_factory=set, init=False, repr=False, compare=False
+    )
 
     @property
     def touches_parallel_map(self) -> bool:
@@ -274,34 +274,23 @@ def _hang_args(token: str) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# Active-plan state.  An explicit activation always wins; otherwise the
-# environment is consulted (parsed once per distinct spec string).
-_explicit_plan: Optional[FaultPlan] = None
+# The active context's plan wins; otherwise the environment is consulted
+# (parsed once per distinct spec string).
 _env_cache: Optional[tuple] = None  # (spec string, parsed plan)
-_corrupted_paths: Set[str] = set()
-
-
-def activate(plan: Optional[FaultPlan]) -> None:
-    """Make ``plan`` the active plan (``None`` clears it)."""
-    global _explicit_plan
-    _explicit_plan = plan
-    _corrupted_paths.clear()
-
-
-def deactivate() -> None:
-    """Clear any explicitly-activated plan."""
-    activate(None)
 
 
 def active_plan() -> Optional[FaultPlan]:
     """The plan currently in force, or ``None``.
 
-    Explicit activation beats the environment; a malformed environment
-    spec raises :class:`FaultSpecError` (failing loudly beats silently
-    running a drill with no faults).
+    The active context's plan beats the environment; a malformed
+    environment spec raises :class:`FaultSpecError` (failing loudly
+    beats silently running a drill with no faults).
     """
-    if _explicit_plan is not None:
-        return _explicit_plan
+    from repro.core.context import current
+
+    ctx = current()
+    if ctx is not None and ctx.faults is not None:
+        return ctx.faults
     spec = os.environ.get(FAULTS_ENV, "").strip()
     if not spec:
         return None
@@ -309,17 +298,6 @@ def active_plan() -> Optional[FaultPlan]:
     if _env_cache is None or _env_cache[0] != spec:
         _env_cache = (spec, parse_plan(spec))
     return _env_cache[1]
-
-
-@contextmanager
-def injected_faults(plan: FaultPlan) -> Iterator[FaultPlan]:
-    """Activate ``plan`` for the duration of a ``with`` block."""
-    previous = _explicit_plan
-    activate(plan)
-    try:
-        yield plan
-    finally:
-        activate(previous)
 
 
 # ----------------------------------------------------------------------
@@ -352,23 +330,23 @@ def maybe_corrupt_cache_file(path: os.PathLike) -> None:
     """Scribble garbage over a cache entry about to be read.
 
     Corrupts at most ``corrupt_cache_reads`` *distinct* entries per
-    process, so a quarantine-then-recompute cycle converges instead of
-    chasing an ever-corrupting cache.
+    plan and process, so a quarantine-then-recompute cycle converges
+    instead of chasing an ever-corrupting cache.
     """
     plan = active_plan()
     if plan is None or plan.corrupt_cache_reads <= 0:
         return
     key = str(path)
-    if key in _corrupted_paths:
+    if key in plan._corrupted:
         return
-    if len(_corrupted_paths) >= plan.corrupt_cache_reads:
+    if len(plan._corrupted) >= plan.corrupt_cache_reads:
         return
     try:
         with open(path, "wb") as fh:
             fh.write(_GARBAGE)
     except OSError:
         return
-    _corrupted_paths.add(key)
+    plan._corrupted.add(key)
 
 
 def maybe_skew_resolver(resolved: Dict[str, "object"]) -> None:

@@ -13,13 +13,11 @@ The auditor is an ordinary :class:`~repro.sim.observer.SimObserver`
 verification is enabled.  Enablement mirrors the fault-injection
 harness (:mod:`repro.testing.faults`):
 
-* programmatically — :func:`activate` / :func:`deactivate`, the
-  :func:`verification` context manager, or
-  ``RunContext(verify=True/False)`` (threaded into pool workers by
-  ``apply_runtime_config``);
+* programmatically — ``RunContext(verify=True/False)`` on the active
+  context (:mod:`repro.core.context`, which pool workers receive);
 * from the environment — ``REPRO_VERIFY=1`` / ``REPRO_VERIFY=0``
   (what the CI drill uses; forked pool workers inherit it);
-* by default **under pytest** — when neither an explicit flag nor the
+* by default **under pytest** — when neither the context nor the
   environment decides, the auditor is on whenever pytest is driving
   (``PYTEST_CURRENT_TEST`` is set), so the whole test suite doubles as
   a physics audit at negligible cost.
@@ -36,8 +34,6 @@ incoherent step, not as a mysteriously wrong artifact.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
-from typing import Iterator, Optional
 
 from repro.verify.auditor import (  # noqa: F401  (re-exports)
     AuditStats,
@@ -52,12 +48,9 @@ __all__ = [
     "AuditStats",
     "InvariantAuditor",
     "InvariantViolation",
-    "activate",
-    "deactivate",
     "enabled",
     "stats",
     "reset_stats",
-    "verification",
 ]
 
 VERIFY_ENV = "REPRO_VERIFY"
@@ -65,30 +58,14 @@ VERIFY_ENV = "REPRO_VERIFY"
 _TRUTHY = {"1", "true", "yes", "on"}
 _FALSY = {"0", "false", "no", "off"}
 
-#: Explicit activation slot; ``None`` defers to environment, then pytest.
-_explicit: Optional[bool] = None
-
-
-def activate(flag: Optional[bool]) -> None:
-    """Set the explicit verification switch (``None`` clears it).
-
-    An explicit ``True``/``False`` always wins; with ``None`` the
-    environment (``REPRO_VERIFY``) decides, and absent that the
-    pytest-autodetection default applies.
-    """
-    global _explicit
-    _explicit = flag
-
-
-def deactivate() -> None:
-    """Clear the explicit switch (environment/pytest defaults apply)."""
-    activate(None)
-
 
 def enabled() -> bool:
     """Is the invariant auditor attached to engine runs right now?"""
-    if _explicit is not None:
-        return _explicit
+    from repro.core.context import current
+
+    ctx = current()
+    if ctx is not None and ctx.verify is not None:
+        return ctx.verify
     env = os.environ.get(VERIFY_ENV, "").strip().lower()
     if env in _TRUTHY:
         return True
@@ -96,17 +73,6 @@ def enabled() -> bool:
         return False
     # Default: audit whenever pytest is driving the process.
     return "PYTEST_CURRENT_TEST" in os.environ
-
-
-@contextmanager
-def verification(on: bool = True) -> Iterator[None]:
-    """Force verification on (or off) for the duration of a block."""
-    previous = _explicit
-    activate(on)
-    try:
-        yield
-    finally:
-        activate(previous)
 
 
 # :class:`AuditStats` and the process-wide :func:`stats` /

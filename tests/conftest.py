@@ -16,8 +16,8 @@ see ``docs/TESTING.md``.
 Shared fixtures live here instead of being re-declared per test module:
 ``study`` (the memoized class-B study), ``fail_plan``/``strip_timings``
 (fault-drill helpers), and the autouse ``clean_runtime_switches`` that
-isolates the process-global fault plan and verification switch between
-tests.
+keeps the environment and the process-wide supervision state from
+leaking between tests.
 """
 
 import json
@@ -43,16 +43,14 @@ def study():
 
 @pytest.fixture(autouse=True)
 def clean_runtime_switches(monkeypatch):
-    """Isolate process-global switches between tests.
+    """Isolate the runtime switches' fallbacks between tests.
 
-    The fault plan, the verification switch, and the machine-axis
-    batching mode are process-global (so pool workers inherit them); a
-    test that activates any of them must not leak it into the next
-    test, and an externally-set ``REPRO_FAULTS``/``REPRO_VERIFY``/
-    ``REPRO_BATCH``/``REPRO_TIMEOUT`` must not leak in.  Batching
-    counters are drained on both sides so per-test stats assertions
-    start from zero, and supervision state (budget, task deadline,
-    cancel token, circuit breakers) is fully reset.
+    The switches themselves live on the active ``RunContext`` and end
+    with the ``with`` block that set them; what remains process-wide is
+    the environment — an externally-set ``REPRO_FAULTS``/
+    ``REPRO_VERIFY``/``REPRO_BATCH``/``REPRO_TIMEOUT`` must not leak
+    in — and the process cancel token and circuit breakers, which
+    ``supervise.reset()`` clears on both sides.
     """
     from repro import supervise, verify
     from repro.sim import batch
@@ -65,16 +63,8 @@ def clean_runtime_switches(monkeypatch):
     monkeypatch.delenv(supervise.JOURNAL_ENV, raising=False)
     for key in [k for k in os.environ if k.startswith("REPRO_SERVE_")]:
         monkeypatch.delenv(key, raising=False)
-    faults.deactivate()
-    verify.deactivate()
-    batch.set_mode(None)
-    batch.take_stats()
     supervise.reset()
     yield
-    faults.deactivate()
-    verify.deactivate()
-    batch.set_mode(None)
-    batch.take_stats()
     supervise.reset()
 
 

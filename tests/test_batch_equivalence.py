@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import verify
-from repro.core.context import RunContext
+from repro.core.context import RunContext, override
 from repro.core.study import Study
 from repro.machine.registry import default_params
 from repro.sim.batch import run_batched_single
@@ -79,12 +79,12 @@ class TestMatrixByteIdentity:
             perturb_params(base, PERTURBABLE[0][1], 0.8),
             perturb_params(base, PERTURBABLE[6][1], 1.25),
         ]
-        with verify.verification(False):
+        with override(verify=False):
             _batched_vs_scalar(variants, bench, config)
 
     def test_auditor_forces_scalar(self):
         """With the invariant auditor on, the batched driver declines."""
-        with verify.verification(True):
+        with override(verify=True):
             study = Study("B")
             assert run_batched_single(
                 [study.engine("serial")], [study.workload("cg")]
@@ -102,7 +102,7 @@ class TestRandomMachineBatches:
     )
     @settings(max_examples=10, deadline=None)
     def test_batched_equals_scalar(self, variants, bench, config):
-        with verify.verification(False):
+        with override(verify=False):
             _batched_vs_scalar(variants, bench, config)
 
 
@@ -163,14 +163,14 @@ class TestNLevelMachineBatches:
             }).to_params()
             for i, tree in enumerate(trees)
         ]
-        with verify.verification(False):
+        with override(verify=False):
             _batched_vs_scalar(variants, bench, config)
 
     def test_checked_in_three_level_spec_batches(self):
         from repro.machine.registry import resolve_machine
 
         params = resolve_machine("broadwell-shared-l3").to_params()
-        with verify.verification(False):
+        with override(verify=False):
             _batched_vs_scalar([params, params], "cg", "ht_off_4_2")
 
     @pytest.mark.parametrize(
@@ -180,7 +180,7 @@ class TestNLevelMachineBatches:
         from repro.machine.registry import resolve_machine
 
         study = Study("B", params=resolve_machine(machine).to_params())
-        with verify.verification(False):
+        with override(verify=False):
             assert run_batched_single(
                 [study.engine("ht_off_4_2")], [study.workload("cg")]
             ) is None
@@ -192,7 +192,7 @@ class TestNLevelMachineBatches:
         three = Study(
             "B", params=resolve_machine("broadwell-shared-l3").to_params()
         )
-        with verify.verification(False):
+        with override(verify=False):
             assert run_batched_single(
                 [two.engine("serial"), three.engine("serial")],
                 [two.workload("cg"), three.workload("cg")],

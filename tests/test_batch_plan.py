@@ -15,10 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from repro import verify
-from repro.core.context import RunContext
+from repro.core.context import RunContext, current, override
 from repro.core.runcache import configure, get_cache
-from repro.core.study import Study, set_run_key_hook
+from repro.core.study import Study
 from repro.machine.registry import default_params
 from repro.sim import batch
 from repro.sim.sensitivity import PERTURBABLE, perturb_params
@@ -44,40 +43,41 @@ class TestModeKnob:
 
     def test_explicit_mode_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(batch.BATCH_ENV, "off")
-        batch.set_mode("on")
-        assert batch.get_mode() == "on"
+        with override(batch="on"):
+            assert batch.get_mode() == "on"
 
     def test_set_mode_rejects_unknown(self):
         with pytest.raises(ValueError):
-            batch.set_mode("sideways")
+            with override(batch="sideways"):
+                pass
 
     def test_batching_allowed_per_mode(self):
-        with batch.batch_mode("off"):
+        with override(batch="off"):
             assert not batch.batching_allowed(100)
-        with batch.batch_mode("on"):
+        with override(batch="on"):
             assert batch.batching_allowed(1)
-        with batch.batch_mode("auto"):
+        with override(batch="auto"):
             assert not batch.batching_allowed(1)  # nothing to amortize
             assert batch.batching_allowed(2)
 
     def test_context_pushes_mode(self):
         ctx = RunContext(batch="off")
-        ctx.apply_runtime_config()
-        assert batch.get_mode() == "off"
-        RunContext(batch=None).apply_runtime_config()
-        assert batch.get_mode() == "auto"
+        with ctx.active():
+            assert batch.get_mode() == "off"
+        with RunContext(batch=None).active():
+            assert batch.get_mode() == "auto"
 
     def test_auditor_forces_scalar(self):
-        with verify.verification(True):
+        with override(verify=True):
             assert batch.runtime_forces_scalar()
-        with verify.verification(False):
+        with override(verify=False):
             assert not batch.runtime_forces_scalar()
 
 
 class TestRecordRunKeys:
     def test_records_in_order_and_dedups(self):
         study = Study("B")
-        with verify.verification(False), batch.record_run_keys() as keys:
+        with override(verify=False), batch.record_run_keys() as keys:
             study.run("cg", "serial")
             study.run("cg", "ht_off_4_2")
             study.run("cg", "serial")  # repeat: recorded once
@@ -85,11 +85,11 @@ class TestRecordRunKeys:
             ("single", "CG", "serial"),
             ("single", "CG", "ht_off_4_2"),
         ]
-        assert set_run_key_hook(None) is None  # hook was restored
+        assert current() is None  # the recorder ended with the block
 
     def test_preload_is_served_without_compute(self):
         study = Study("B")
-        with verify.verification(False):
+        with override(verify=False):
             sentinel = study.engine("serial").run_single(
                 study.workload("cg")
             )
@@ -111,9 +111,9 @@ class TestPrefetchStudyRuns:
 
     def test_prefetches_batched_and_counts(self):
         lanes = self._lanes()
-        with verify.verification(False), batch.batch_mode("auto"):
+        with override(verify=False, batch="auto") as ctx:
             batch.prefetch_study_runs(lanes, [self.KEY])
-        stats = batch.take_stats()
+        stats = ctx.batch_stats
         assert stats.batched_machines == 2
         assert stats.scalar_fallbacks == 0
         for lane in lanes:
@@ -122,9 +122,9 @@ class TestPrefetchStudyRuns:
     def test_identical_fingerprints_deduplicate(self):
         lanes = self._lanes() + self._lanes((0.8,))  # twin of lane 0
         assert lanes[0].fingerprint == lanes[2].fingerprint
-        with verify.verification(False), batch.batch_mode("auto"):
+        with override(verify=False, batch="auto") as ctx:
             batch.prefetch_study_runs(lanes, [self.KEY])
-        stats = batch.take_stats()
+        stats = ctx.batch_stats
         assert stats.deduplicated_machines == 1
         assert stats.batched_machines == 2
         # The twin is served the representative's result object.
@@ -133,37 +133,37 @@ class TestPrefetchStudyRuns:
 
     def test_mode_off_counts_fallbacks_and_runs_nothing(self):
         lanes = self._lanes()
-        with verify.verification(False), batch.batch_mode("off"):
+        with override(verify=False, batch="off") as ctx:
             batch.prefetch_study_runs(lanes, [self.KEY])
-        assert batch.take_stats().scalar_fallbacks == 2
+        assert ctx.batch_stats.scalar_fallbacks == 2
         assert all(not lane._preloaded for lane in lanes)
 
     def test_auditor_counts_fallbacks_and_runs_nothing(self):
         lanes = self._lanes()
-        with verify.verification(True), batch.batch_mode("on"):
+        with override(verify=True, batch="on") as ctx:
             batch.prefetch_study_runs(lanes, [self.KEY])
-        assert batch.take_stats().scalar_fallbacks == 2
+        assert ctx.batch_stats.scalar_fallbacks == 2
         assert all(not lane._preloaded for lane in lanes)
 
     def test_pair_keys_fall_back(self):
         lanes = self._lanes()
-        with verify.verification(False), batch.batch_mode("auto"):
+        with override(verify=False, batch="auto") as ctx:
             batch.prefetch_study_runs(
                 lanes, [("pair", "CG", "SP", "ht_off_4_2")]
             )
-        stats = batch.take_stats()
+        stats = ctx.batch_stats
         assert stats.batched_machines == 0
         assert stats.scalar_fallbacks == 2
 
     def test_cached_keys_are_skipped(self):
         configure(reset=True, enabled=True)
         lanes = self._lanes()
-        with verify.verification(False):
+        with override(verify=False):
             for lane in lanes:  # warm the cache scalar
                 lane.run("cg", "ht_off_4_2")
-            with batch.batch_mode("auto"):
+            with override(batch="auto") as ctx:
                 batch.prefetch_study_runs(lanes, [self.KEY])
-        stats = batch.take_stats()
+        stats = ctx.batch_stats
         assert stats.batched_machines == 0  # nothing left to run
         assert all(not lane._preloaded for lane in lanes)
         assert not get_cache().is_miss(
@@ -171,16 +171,18 @@ class TestPrefetchStudyRuns:
         )
 
     def test_stats_reset_on_take(self):
-        batch.note_batched(2)
-        batch.note_scalar_fallback()
-        batch.note_deduplicated(3)
-        stats = batch.take_stats()
+        with override() as ctx:
+            batch.note_batched(2)
+            batch.note_scalar_fallback()
+            batch.note_deduplicated(3)
+        stats = ctx.batch_stats
         assert stats.as_dict() == {
             "batched_machines": 2,
             "scalar_fallbacks": 1,
             "deduplicated_machines": 3,
         }
-        assert batch.take_stats().as_dict() == {
+        # The next task (the pipeline's next experiment) starts at zero.
+        assert ctx.for_task("next").batch_stats.as_dict() == {
             "batched_machines": 0,
             "scalar_fallbacks": 0,
             "deduplicated_machines": 0,

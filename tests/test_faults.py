@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.core.context import override
 from repro.testing import faults
 from repro.testing.faults import (
     FaultPlan,
@@ -18,9 +19,6 @@ from repro.testing.faults import (
 @pytest.fixture(autouse=True)
 def clean_harness(monkeypatch):
     monkeypatch.delenv(faults.FAULTS_ENV, raising=False)
-    faults.deactivate()
-    yield
-    faults.deactivate()
 
 
 class TestParsePlan:
@@ -79,29 +77,28 @@ class TestActivation:
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv(faults.FAULTS_ENV, "experiment:fig3")
-        with faults.injected_faults(FaultPlan()) as plan:
+        with override(faults=FaultPlan()) as ctx:
+            plan = ctx.faults
             assert faults.active_plan() is plan
         assert faults.active_plan().fail_experiments == {"fig3": ""}
 
     def test_context_manager_restores(self):
         outer = FaultPlan(cache_read_oserror=True)
-        faults.activate(outer)
-        with faults.injected_faults(FaultPlan()):
-            assert faults.active_plan() == FaultPlan()
-        assert faults.active_plan() is outer
+        with override(faults=outer):
+            with override(faults=FaultPlan()):
+                assert faults.active_plan() == FaultPlan()
+            assert faults.active_plan() is outer
 
 
 class TestHooks:
     def test_fail_experiment_targets_only_named_id(self):
-        with faults.injected_faults(
-            FaultPlan(fail_experiments={"fig3": "boom"})
-        ):
+        with override(faults=FaultPlan(fail_experiments={"fig3": "boom"})):
             faults.maybe_fail_experiment("fig4")
             with pytest.raises(InjectedFault, match="boom"):
                 faults.maybe_fail_experiment("fig3")
 
     def test_cache_io_faults_by_operation(self):
-        with faults.injected_faults(FaultPlan(cache_read_oserror=True)):
+        with override(faults=FaultPlan(cache_read_oserror=True)):
             faults.maybe_raise_cache_io("write")
             with pytest.raises(OSError, match="injected cache read"):
                 faults.maybe_raise_cache_io("read")
@@ -110,7 +107,7 @@ class TestHooks:
         paths = [tmp_path / f"{i}.pkl" for i in range(3)]
         for p in paths:
             p.write_bytes(b"originalcontent")
-        with faults.injected_faults(FaultPlan(corrupt_cache_reads=2)):
+        with override(faults=FaultPlan(corrupt_cache_reads=2)):
             for p in paths + paths:  # revisits don't re-corrupt
                 faults.maybe_corrupt_cache_file(p)
         corrupted = [
@@ -120,7 +117,7 @@ class TestHooks:
 
     def test_kill_worker_never_fires_in_main_process(self):
         assert multiprocessing.parent_process() is None
-        with faults.injected_faults(FaultPlan(worker_death_index=0)):
+        with override(faults=FaultPlan(worker_death_index=0)):
             faults.maybe_kill_worker(0)  # would os._exit in a worker
         assert os.getpid() > 0  # still alive
 
@@ -158,20 +155,20 @@ class TestSupervisionFaultTokens:
     def test_hang_never_fires_in_main_process(self):
         assert multiprocessing.parent_process() is None
         start = time.perf_counter()
-        with faults.injected_faults(
-            FaultPlan(hang_task_index=0, hang_seconds=30.0)
+        with override(
+            faults=FaultPlan(hang_task_index=0, hang_seconds=30.0)
         ):
             faults.maybe_hang_worker(0)  # would sleep 30s in a worker
         assert time.perf_counter() - start < 5.0
 
     def test_sigkill_self_fires_only_on_its_wave(self):
-        with faults.injected_faults(FaultPlan(sigkill_wave=7)):
+        with override(faults=FaultPlan(sigkill_wave=7)):
             faults.maybe_sigkill_self(0)
             faults.maybe_sigkill_self(6)
         assert os.getpid() > 0  # wave 7 never started: still alive
 
     def test_slow_cache_sleeps_briefly(self):
-        with faults.injected_faults(FaultPlan(slow_cache_ms=10.0)):
+        with override(faults=FaultPlan(slow_cache_ms=10.0)):
             start = time.perf_counter()
             faults.maybe_slow_cache()
             assert time.perf_counter() - start >= 0.009

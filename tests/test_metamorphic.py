@@ -39,6 +39,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import verify
+from repro.core.context import override
 from repro.counters.events import Event
 from repro.machine.configurations import get_config
 from repro.machine.params import CacheParams, TLBParams
@@ -229,7 +230,7 @@ class TestHierarchyAndTopologyRelations:
     @settings(max_examples=5)
     def test_auditor_clean_on_nlevel_machines(self, tree):
         before = verify.stats().snapshot()
-        with verify.verification(True):
+        with override(verify=True):
             _run(tree)
         delta = verify.stats().since(before)
         assert delta.runs == 1 and delta.violations == 0
@@ -241,7 +242,7 @@ class TestInvariantsOnRandomMachines:
     @settings(max_examples=5)
     def test_auditor_clean(self, tree):
         before = verify.stats().snapshot()
-        with verify.verification(True):
+        with override(verify=True):
             _run(tree)  # the auditor raises on any violation
         delta = verify.stats().since(before)
         assert delta.runs == 1 and delta.violations == 0

@@ -4,15 +4,9 @@ import os
 
 import pytest
 
+from repro.core.context import override
 from repro.sim import parallel
-from repro.sim.parallel import (
-    get_default_jobs,
-    parallel_map,
-    resolve_jobs,
-    set_default_jobs,
-    take_fallback_report,
-)
-from repro.testing import faults
+from repro.sim.parallel import get_default_jobs, parallel_map, resolve_jobs
 from repro.testing.faults import FaultPlan
 
 
@@ -26,16 +20,6 @@ def _boom(x):
 
 def _os_boom(x):
     raise OSError(f"task io failure {x}")
-
-
-@pytest.fixture(autouse=True)
-def reset_default_jobs():
-    set_default_jobs(None)
-    take_fallback_report()
-    faults.deactivate()
-    yield
-    set_default_jobs(None)
-    faults.deactivate()
 
 
 @pytest.fixture
@@ -56,8 +40,8 @@ class TestJobResolution:
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv(parallel.JOBS_ENV, "4")
-        set_default_jobs(2)
-        assert get_default_jobs() == 2
+        with override(jobs=2):
+            assert get_default_jobs() == 2
 
     def test_garbage_env_ignored(self, monkeypatch):
         monkeypatch.setenv(parallel.JOBS_ENV, "many")
@@ -68,7 +52,8 @@ class TestJobResolution:
 
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):
-            set_default_jobs(0)
+            with override(jobs=0):
+                pass
         with pytest.raises(ValueError):
             resolve_jobs(0)
 
@@ -88,8 +73,11 @@ class TestParallelMap:
     def test_unpicklable_callable_falls_back_to_serial(self, pool_host):
         # Lambdas cannot cross a process boundary; the map must still
         # return correct results via the serial fallback.
-        assert parallel_map(lambda x: x + 1, [1, 2, 3], jobs=2) == [2, 3, 4]
-        report = take_fallback_report()
+        seen = []
+        assert parallel_map(
+            lambda x: x + 1, [1, 2, 3], jobs=2, on_fallback=seen.append
+        ) == [2, 3, 4]
+        report = seen[-1]
         assert report.reason == "unpicklable-callable"
         assert report.completed == 0 and report.retried == 3
 
@@ -103,19 +91,23 @@ class TestParallelMap:
         """Regression: an OSError raised *by the task* used to be
         mistaken for pool infrastructure failure, silently re-running
         the whole list serially (and raising only on the second pass)."""
+        seen = []
         with pytest.raises(OSError, match="task io failure"):
-            parallel_map(_os_boom, [1, 2], jobs=2)
+            parallel_map(_os_boom, [1, 2], jobs=2, on_fallback=seen.append)
         # And it was a task failure, not a pool degradation.
-        assert take_fallback_report() is None
+        assert not seen
 
 
 class TestBrokenPoolRetry:
     def test_worker_death_retries_only_incomplete(self, pool_host):
         plan = FaultPlan(worker_death_index=1)
-        with faults.injected_faults(plan):
-            results = parallel_map(_square, [0, 1, 2, 3], jobs=2)
+        seen = []
+        with override(faults=plan):
+            results = parallel_map(
+                _square, [0, 1, 2, 3], jobs=2, on_fallback=seen.append
+            )
         assert results == [0, 1, 4, 9]
-        report = take_fallback_report()
+        report = seen[-1] if seen else None
         assert report is not None
         assert report.reason == "broken-pool"
         # Every task is accounted for exactly once: results the pool
@@ -125,7 +117,7 @@ class TestBrokenPoolRetry:
 
     def test_on_fallback_callback_invoked(self, pool_host):
         seen = []
-        with faults.injected_faults(FaultPlan(worker_death_index=0)):
+        with override(faults=FaultPlan(worker_death_index=0)):
             parallel_map(
                 _square, [1, 2, 3], jobs=2, on_fallback=seen.append
             )
@@ -134,13 +126,19 @@ class TestBrokenPoolRetry:
         assert seen[0].as_dict()["retried"] == seen[0].retried
 
     def test_clean_run_leaves_no_report(self, pool_host):
-        assert parallel_map(_square, [1, 2, 3], jobs=2) == [1, 4, 9]
-        assert take_fallback_report() is None
+        seen = []
+        assert parallel_map(
+            _square, [1, 2, 3], jobs=2, on_fallback=seen.append
+        ) == [1, 4, 9]
+        assert not seen
 
     def test_take_report_pops(self, pool_host):
-        parallel_map(lambda x: x, [1, 2], jobs=2)
-        assert take_fallback_report() is not None
-        assert take_fallback_report() is None
+        seen = []
+        parallel_map(lambda x: x, [1, 2], jobs=2, on_fallback=seen.append)
+        assert len(seen) == 1
+        # A clean map afterwards reports nothing more.
+        parallel_map(_square, [1, 2], jobs=2, on_fallback=seen.append)
+        assert len(seen) == 1
 
 
 def _slow(x):
@@ -151,12 +149,14 @@ def _slow(x):
 class TestWatchdog:
     def test_hung_worker_reaped_and_rescheduled(self, pool_host):
         plan = FaultPlan(hang_task_index=1, hang_seconds=30.0)
-        with faults.injected_faults(plan):
+        seen = []
+        with override(faults=plan):
             results = parallel_map(
-                _square, [0, 1, 2, 3], jobs=2, task_timeout_s=1.0
+                _square, [0, 1, 2, 3], jobs=2, task_timeout_s=1.0,
+                on_fallback=seen.append,
             )
         assert results == [0, 1, 4, 9]
-        report = take_fallback_report()
+        report = seen[-1] if seen else None
         assert report is not None
         assert report.reason == "hung-worker"
         assert "killed workers" in report.detail
@@ -166,25 +166,27 @@ class TestWatchdog:
     def test_healthy_pool_never_trips_watchdog(self, pool_host):
         # The heartbeat window restarts at every completion: many tasks
         # under a short-but-sufficient watchdog run clean.
+        seen = []
         results = parallel_map(
-            _square, list(range(8)), jobs=2, task_timeout_s=30.0
+            _square, list(range(8)), jobs=2, task_timeout_s=30.0,
+            on_fallback=seen.append,
         )
         assert results == [x * x for x in range(8)]
-        assert take_fallback_report() is None
+        assert not seen
 
     def test_watchdog_defaults_from_armed_budget(self, pool_host):
-        from repro import supervise
         from repro.supervise import Budget
 
         plan = FaultPlan(hang_task_index=0, hang_seconds=30.0)
-        supervise.set_budget(Budget(experiment_timeout_s=1.0).arm())
-        try:
-            with faults.injected_faults(plan):
-                results = parallel_map(_square, [1, 2, 3], jobs=2)
-        finally:
-            supervise.reset()
+        seen = []
+        with override(
+            budget=Budget(experiment_timeout_s=1.0).arm(), faults=plan
+        ):
+            results = parallel_map(
+                _square, [1, 2, 3], jobs=2, on_fallback=seen.append
+            )
         assert results == [1, 4, 9]
-        assert take_fallback_report().reason == "hung-worker"
+        assert seen[-1].reason == "hung-worker"
 
     def test_no_budget_means_no_watchdog(self, pool_host):
         # Unbudgeted runs must not invent a timeout; a clean pool just
@@ -203,16 +205,19 @@ class TestCircuitBreaker:
         for _ in range(brk.threshold):
             brk.record_failure("drill")
         assert brk.open
-        results = parallel_map(_square, [1, 2, 3], jobs=2)
+        seen = []
+        results = parallel_map(
+            _square, [1, 2, 3], jobs=2, on_fallback=seen.append
+        )
         assert results == [1, 4, 9]
-        report = take_fallback_report()
+        report = seen[-1]
         assert report.reason == "circuit-open"
         assert report.retried == 3 and report.completed == 0
 
     def test_pool_failures_count_toward_breaker(self, pool_host):
         from repro.supervise import backoff
 
-        with faults.injected_faults(FaultPlan(worker_death_index=0)):
+        with override(faults=FaultPlan(worker_death_index=0)):
             parallel_map(_square, [1, 2, 3], jobs=2)
         assert backoff.breaker("process-pool").total_trips == 1
 
@@ -246,7 +251,7 @@ class TestOnResult:
 
     def test_fallback_path_still_reports_every_task(self, pool_host):
         seen = []
-        with faults.injected_faults(FaultPlan(worker_death_index=1)):
+        with override(faults=FaultPlan(worker_death_index=1)):
             parallel_map(
                 _square, [0, 1, 2, 3], jobs=2,
                 on_result=lambda i, r: seen.append(i),

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.core.context import RunContext
+from repro.core.context import RunContext, override
 from repro.experiments.pipeline import (
     EXIT_PARTIAL_FAILURE,
     ExperimentFailure,
@@ -205,6 +205,6 @@ class TestInjectionPlumbing:
         assert out.failures["omp-overheads"].error_type == "InjectedFault"
 
     def test_injected_fault_raises_like_any_exception(self, fail_plan):
-        with faults.injected_faults(fail_plan("x")):
+        with override(faults=fail_plan("x")):
             with pytest.raises(InjectedFault):
                 faults.maybe_fail_experiment("x")

@@ -5,6 +5,7 @@ import pickle
 import pytest
 
 from repro.core import runcache
+from repro.core.context import override
 from repro.core.runcache import (
     QUARANTINE_DIR,
     RunCache,
@@ -15,7 +16,6 @@ from repro.core.runcache import (
 from repro.core.study import Study
 from repro.machine.params import paxville_params
 from repro.openmp.env import OMPEnvironment
-from repro.testing import faults
 from repro.testing.faults import FaultPlan
 
 
@@ -199,17 +199,11 @@ class TestDiskIntegrity:
 
 
 class TestInjectedCacheFaults:
-    @pytest.fixture(autouse=True)
-    def no_plan(self):
-        faults.deactivate()
-        yield
-        faults.deactivate()
-
     def test_read_oserror_degrades_to_miss(self, tmp_path):
         writer = RunCache(disk_dir=tmp_path)
         writer.put("fp", ("k",), 42)
         reader = RunCache(disk_dir=tmp_path)
-        with faults.injected_faults(FaultPlan(cache_read_oserror=True)):
+        with override(faults=FaultPlan(cache_read_oserror=True)):
             assert reader.is_miss(reader.get("fp", ("k",)))
         # Entry left intact (the failure was IO, not content).
         assert reader.stats.quarantined == 0
@@ -217,7 +211,7 @@ class TestInjectedCacheFaults:
 
     def test_write_oserror_degrades_to_memory_only(self, tmp_path):
         cache = RunCache(disk_dir=tmp_path)
-        with faults.injected_faults(FaultPlan(cache_write_oserror=True)):
+        with override(faults=FaultPlan(cache_write_oserror=True)):
             cache.put("fp", ("k",), 42)
         assert not list(tmp_path.glob("*.pkl"))
         assert cache.get("fp", ("k",)) == 42  # memory tier still serves
@@ -226,7 +220,7 @@ class TestInjectedCacheFaults:
         writer = RunCache(disk_dir=tmp_path)
         writer.put("fp", ("k",), 42)
         reader = RunCache(disk_dir=tmp_path)
-        with faults.injected_faults(FaultPlan(corrupt_cache_reads=1)):
+        with override(faults=FaultPlan(corrupt_cache_reads=1)):
             assert reader.is_miss(reader.get("fp", ("k",)))
         assert reader.stats.quarantined == 1
         assert list((tmp_path / QUARANTINE_DIR).iterdir())
@@ -301,7 +295,7 @@ class TestReadRetryAndDegradation:
 
         reader = self._seeded(tmp_path)
         plan = FaultPlan(cache_read_oserror=True)
-        with faults.injected_faults(plan):
+        with override(faults=plan):
             assert reader.is_miss(reader.get("fp", ("k",)))
         assert reader.stats.read_retries >= 1
         assert backoff.breaker("cache-read").total_trips == 1
@@ -313,7 +307,7 @@ class TestReadRetryAndDegradation:
 
         reader = self._seeded(tmp_path)
         plan = FaultPlan(cache_read_oserror=True)
-        with faults.injected_faults(plan):
+        with override(faults=plan):
             for _ in range(backoff.breaker("cache-read").threshold):
                 reader.get("fp", ("k",))
         assert reader.memory_only_reason is not None
@@ -328,7 +322,7 @@ class TestReadRetryAndDegradation:
 
     def test_slow_cache_fault_only_delays(self, tmp_path):
         reader = self._seeded(tmp_path)
-        with faults.injected_faults(FaultPlan(slow_cache_ms=1.0)):
+        with override(faults=FaultPlan(slow_cache_ms=1.0)):
             assert reader.get("fp", ("k",)) == "value"
         assert reader.stats.read_retries == 0
 

@@ -11,6 +11,7 @@ import threading
 import pytest
 
 from repro import supervise
+from repro.core.context import override
 from repro.supervise import (
     BackoffPolicy,
     Budget,
@@ -237,48 +238,46 @@ class TestModuleState:
         supervise.check("anywhere")  # no budget, no token: no-op
 
     def test_bounded_budget_activates(self):
-        supervise.set_budget(Budget(run_timeout_s=100).arm())
-        assert supervise.active()
-        supervise.check("early")  # within budget: fine
+        with override(budget=Budget(run_timeout_s=100).arm()):
+            assert supervise.active()
+            supervise.check("early")  # within budget: fine
 
     def test_unbounded_budget_does_not_activate(self):
-        supervise.set_budget(Budget())
-        assert not supervise.active()
+        with override(budget=Budget()):
+            assert not supervise.active()
 
     def test_task_deadline_enforced_by_check(self):
-        supervise.set_budget(
-            Budget(experiment_timeout_s=0.0001).arm(now=0.0)
-        )
-        supervise.begin_task("fig2", now=0.0)
-        # monotonic "now" is far past deadline computed from now=0.
-        with pytest.raises(DeadlineExceeded, match="fig2"):
-            supervise.check("step 3")
+        budget = Budget(experiment_timeout_s=0.0001).arm(now=0.0)
+        with override(budget=budget) as ctx, \
+                ctx.for_task("fig2", now=0.0).active():
+            # monotonic "now" is far past deadline computed from now=0.
+            with pytest.raises(DeadlineExceeded, match="fig2"):
+                supervise.check("step 3")
 
     def test_run_deadline_enforced_by_check(self):
-        supervise.set_budget(Budget(run_timeout_s=0.0001).arm(now=0.0))
-        with pytest.raises(DeadlineExceeded, match="run exceeded"):
-            supervise.check()
+        with override(budget=Budget(run_timeout_s=0.0001).arm(now=0.0)):
+            with pytest.raises(DeadlineExceeded, match="run exceeded"):
+                supervise.check()
 
     def test_cancellation_beats_deadline(self):
-        supervise.set_budget(Budget(run_timeout_s=0.0001).arm(now=0.0))
-        supervise.token().cancel("user said stop")
-        with pytest.raises(CancelledRun, match="user said stop"):
-            supervise.check()
+        with override(budget=Budget(run_timeout_s=0.0001).arm(now=0.0)):
+            supervise.token().cancel("user said stop")
+            with pytest.raises(CancelledRun, match="user said stop"):
+                supervise.check()
 
     def test_end_task_clears_deadline(self):
-        supervise.set_budget(
-            Budget(experiment_timeout_s=0.0001).arm(now=0.0)
-        )
-        supervise.begin_task("fig2", now=0.0)
-        supervise.end_task()
-        supervise.check()  # no task deadline, generous run budget
+        budget = Budget(experiment_timeout_s=0.0001).arm(now=0.0)
+        with override(budget=budget) as ctx:
+            with ctx.for_task("fig2", now=0.0).active():
+                pass
+            supervise.check()  # no task deadline, generous run budget
 
     def test_default_watchdog_follows_budget(self):
         assert supervise.default_watchdog_s() is None
-        supervise.set_budget(Budget(experiment_timeout_s=7.0).arm())
-        assert supervise.default_watchdog_s() == 7.0
-        supervise.set_budget(Budget(experiment_timeout_s=7.0))  # unarmed
-        assert supervise.default_watchdog_s() is None
+        with override(budget=Budget(experiment_timeout_s=7.0).arm()):
+            assert supervise.default_watchdog_s() == 7.0
+        with override(budget=Budget(experiment_timeout_s=7.0)):  # unarmed
+            assert supervise.default_watchdog_s() is None
 
     def test_install_signals_activates(self):
         assert not supervise.active()
@@ -290,10 +289,10 @@ class TestModuleState:
         assert not supervise.active()
 
     def test_reset_clears_everything(self):
-        supervise.set_budget(Budget(run_timeout_s=1).arm())
-        supervise.begin_task("x")
-        supervise.token().cancel("y")
-        breaker("z").record_failure()
+        with override(budget=Budget(run_timeout_s=1).arm()) as ctx, \
+                ctx.for_task("x").active():
+            supervise.token().cancel("y")
+            breaker("z").record_failure()
         supervise.reset()
         assert not supervise.active()
         assert supervise.current_budget() is None

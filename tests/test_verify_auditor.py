@@ -16,7 +16,7 @@ import pytest
 
 from repro import verify
 from repro.cli import main
-from repro.core.context import RunContext
+from repro.core.context import RunContext, override
 from repro.counters.events import Event
 from repro.machine.configurations import get_config
 from repro.npb.suite import build_workload
@@ -31,15 +31,15 @@ def _run(config="ht_off_2_1", bench="CG"):
 
 class TestEnablement:
     def test_pytest_autodetect_is_on_by_default(self):
-        # conftest deactivates the explicit switch and clears the env,
-        # so what remains is the PYTEST_CURRENT_TEST autodetect.
+        # No context is active and conftest clears the env, so what
+        # remains is the PYTEST_CURRENT_TEST autodetect.
         assert verify.enabled()
 
     def test_explicit_beats_autodetect(self):
-        verify.activate(False)
-        assert not verify.enabled()
-        verify.activate(True)
-        assert verify.enabled()
+        with override(verify=False):
+            assert not verify.enabled()
+        with override(verify=True):
+            assert verify.enabled()
 
     def test_env_beats_autodetect(self, monkeypatch):
         monkeypatch.setenv(verify.VERIFY_ENV, "0")
@@ -49,23 +49,23 @@ class TestEnablement:
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv(verify.VERIFY_ENV, "0")
-        verify.activate(True)
-        assert verify.enabled()
+        with override(verify=True):
+            assert verify.enabled()
 
     def test_context_manager_restores(self):
-        with verify.verification(False):
+        with override(verify=False):
             assert not verify.enabled()
         assert verify.enabled()
 
     def test_run_context_wires_the_switch(self):
-        RunContext(verify=False).apply_runtime_config()
-        assert not verify.enabled()
-        RunContext(verify=True).apply_runtime_config()
-        assert verify.enabled()
+        with RunContext(verify=False).active():
+            assert not verify.enabled()
+        with RunContext(verify=True).active():
+            assert verify.enabled()
 
     def test_run_context_default_leaves_autodetect(self):
-        RunContext().apply_runtime_config()
-        assert verify.enabled()
+        with RunContext().active():
+            assert verify.enabled()
 
     def test_spawn_propagates_verify_flag(self):
         child = RunContext(verify=False).spawn(jobs=1)
@@ -90,9 +90,9 @@ class TestAuditorOnCleanRuns:
         assert verify.stats().violations == 0
 
     def test_verification_does_not_change_results(self):
-        with verify.verification(True):
+        with override(verify=True):
             audited = _run()
-        with verify.verification(False):
+        with override(verify=False):
             plain = _run()
         assert audited.runtime_seconds == plain.runtime_seconds
         audited_total = audited.collector.total()
@@ -102,7 +102,7 @@ class TestAuditorOnCleanRuns:
 
     def test_disabled_switch_attaches_no_auditor(self):
         verify.reset_stats()
-        with verify.verification(False):
+        with override(verify=False):
             _run()
         assert verify.stats().runs == 0
 
@@ -111,7 +111,7 @@ class TestFaultDrill:
     PLAN = FaultPlan(resolver_skew=0.5)
 
     def test_skewed_resolver_is_caught_with_provenance(self):
-        with faults.injected_faults(self.PLAN):
+        with override(faults=self.PLAN):
             with pytest.raises(verify.InvariantViolation) as exc_info:
                 _run()
         violation = exc_info.value
@@ -123,7 +123,7 @@ class TestFaultDrill:
 
     def test_violations_counted_in_stats(self):
         verify.reset_stats()
-        with faults.injected_faults(self.PLAN):
+        with override(faults=self.PLAN):
             with pytest.raises(verify.InvariantViolation):
                 _run()
         assert verify.stats().violations >= 1

@@ -8,7 +8,7 @@ by the experiment drivers, and cache-keyed through the registry tokens.
 import pytest
 
 from repro import verify
-from repro.core.context import RunContext
+from repro.core.context import RunContext, override
 from repro.core.study import Study
 from repro.npb.common import ProblemClass
 from repro.workload.families import minigmg, rzbench
@@ -89,7 +89,7 @@ class TestAuditedRuns:
     def test_families_pass_the_invariant_auditor(self, name):
         st = Study("B")
         before = verify.stats().snapshot()
-        with verify.verification(True):
+        with override(verify=True):
             result = st.engine("ht_off_4_2").run_single(st.workload(name))
         delta = verify.stats().since(before)
         assert result.runtime_seconds > 0
@@ -119,7 +119,7 @@ class TestBatchedEquivalence:
         workloads = [st.workload("minigmg") for st in studies]
         # The auditor forces scalar resolves by design; batching is the
         # subject here, so switch it off for both paths.
-        with verify.verification(False):
+        with override(verify=False):
             batched = run_batched_single(
                 [st.engine("ht_off_4_2") for st in studies], workloads
             )
