@@ -28,6 +28,7 @@ from repro.machine.registry import resolve_machine
 from repro.mem.cache import SetAssocCache
 from repro.npb.suite import build_workload
 from repro.sim.structural import SharingScenario, StructuralCoSimulator
+from tests.oracles.replay import ScalarCoSimulator
 
 
 @pytest.fixture(scope="module")
@@ -38,12 +39,14 @@ def scenario():
 
 
 def test_structural_replay_vectorized(benchmark, scenario):
-    sim = StructuralCoSimulator(samples=30000, vectorized=True)
+    sim = StructuralCoSimulator(samples=30000)
     benchmark(sim.measure, scenario)
 
 
 def test_structural_replay_scalar(benchmark, scenario):
-    sim = StructuralCoSimulator(samples=30000, vectorized=False)
+    # The per-access oracle replay: the reference the batched path's
+    # speedup is measured against.
+    sim = ScalarCoSimulator(samples=30000)
     benchmark.pedantic(sim.measure, args=(scenario,), rounds=3)
 
 
@@ -57,7 +60,7 @@ def test_cache_batch_run_200k(benchmark):
 
     def run():
         cache = SetAssocCache(params)
-        return cache.run(addrs, vectorized=True)
+        return cache.run(addrs)
 
     benchmark(run)
 

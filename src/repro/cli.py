@@ -214,15 +214,14 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="wall-time budget for the whole run: once exhausted, the "
              "remaining experiments are cancelled (exit 4) and the "
-             "partial run stays resumable (also: REPRO_TIMEOUT)",
+             "partial run stays resumable",
     )
     run_all.add_argument(
         "--experiment-timeout", type=_positive_seconds, default=None,
         metavar="SECONDS",
         help="wall-time budget per experiment, enforced at engine step "
              "boundaries (a DeadlineExceeded failure) and as the "
-             "hung-worker watchdog in parallel runs (also: "
-             "REPRO_EXPERIMENT_TIMEOUT)",
+             "hung-worker watchdog in parallel runs",
     )
     _add_machine_option(run_all)
     _add_workload_option(run_all)
@@ -244,14 +243,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="address to bind (default: 127.0.0.1)",
     )
     serve.add_argument(
-        "--port", type=int, default=None, metavar="PORT",
+        "--port", type=int, default=8433, metavar="PORT",
         help="port to bind; 0 picks an ephemeral port, printed on "
-             "startup (default: REPRO_SERVE_PORT or 8433)",
+             "startup (default: 8433)",
     )
     serve.add_argument(
-        "--workers", type=_positive_int, default=None, metavar="N",
-        help="worker threads executing jobs "
-             "(default: REPRO_SERVE_WORKERS or 2)",
+        "--workers", type=_positive_int, default=2, metavar="N",
+        help="worker threads executing jobs (default: 2)",
     )
     serve.add_argument(
         "--jobs", type=_positive_int, default=None, metavar="N",
@@ -262,14 +260,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--state-dir", type=Path, default=None, metavar="DIR",
         help="journal job state to DIR/jobs.wal.jsonl and resume "
              "unfinished jobs from a previous server's journal on boot "
-             "(default: REPRO_SERVE_STATE_DIR or no journaling)",
+             "(default: no journaling)",
     )
     serve.add_argument(
         "--job-timeout", type=_positive_seconds, default=None,
         metavar="SECONDS",
         help="per-job wall-time budget, enforced cooperatively at "
-             "engine step boundaries "
-             "(default: REPRO_SERVE_JOB_TIMEOUT or none)",
+             "engine step boundaries (default: none)",
     )
     serve.add_argument(
         "--drain-timeout", type=_positive_seconds, default=10.0,
@@ -472,64 +469,20 @@ def _export_csv(out: Path, pipeline) -> None:
     print(f"wrote {out}/fig2_*.csv ({len(fig2.panels)} panels)")
 
 
-def _serve_env_int(name: str, default: int) -> int:
-    import os
-
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise CLIError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def _serve_env_seconds(name: str) -> Optional[float]:
-    import os
-
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise CLIError(f"{name} must be a number, got {raw!r}") from None
-    if value <= 0:
-        raise CLIError(f"{name} must be > 0 seconds, got {raw!r}")
-    return value
-
-
 def _serve_command(args) -> int:
     """The ``serve`` subcommand: boot, recover, serve until signalled."""
-    import os
-
     from repro.core import runcache
     from repro.serve import store as jobstore
     from repro.serve.app import serve_forever
     from repro.serve.runner import MEMORY_TIER_RUNS, JobRunner
     from repro.serve.scheduler import Scheduler
+    from repro.sim.parallel import get_default_jobs
 
     port = args.port
-    if port is None:
-        port = _serve_env_int("REPRO_SERVE_PORT", 8433)
     if not 0 <= port <= 65535:
         raise CLIError(f"port must be in [0, 65535], got {port}")
-    workers = args.workers
-    if workers is None:
-        workers = _serve_env_int("REPRO_SERVE_WORKERS", 2)
-        if workers < 1:
-            raise CLIError(f"REPRO_SERVE_WORKERS must be >= 1, got {workers}")
-    job_timeout = args.job_timeout
-    if job_timeout is None:
-        job_timeout = _serve_env_seconds("REPRO_SERVE_JOB_TIMEOUT")
     state_dir = args.state_dir
-    if state_dir is None:
-        raw = os.environ.get("REPRO_SERVE_STATE_DIR", "").strip()
-        state_dir = Path(raw) if raw else None
-    jobs = args.jobs
-    if jobs is None:
-        jobs = _serve_env_int("REPRO_JOBS", 1)
-        jobs = max(1, jobs)
+    jobs = get_default_jobs() if args.jobs is None else args.jobs
 
     # Read the previous server's journal *before* the scheduler opens
     # (and truncates) a fresh one for this process.
@@ -539,15 +492,15 @@ def _serve_command(args) -> int:
             previous = jobstore.load_jobs_journal(
                 Path(state_dir) / jobstore.JOBS_JOURNAL_NAME
             )
-        except ValueError as exc:
+        except jobstore.JobsJournalError as exc:
             raise CLIError(str(exc)) from None
 
     runcache.get_cache().max_memory_entries = MEMORY_TIER_RUNS
     scheduler = Scheduler(
-        workers=workers,
+        workers=args.workers,
         runner=JobRunner(jobs=jobs),
         state_dir=state_dir,
-        job_timeout_s=job_timeout,
+        job_timeout_s=args.job_timeout,
     )
     if previous is not None and previous.resumable:
         resubmitted = scheduler.recover(previous)
@@ -688,25 +641,12 @@ def _dispatch(argv: Optional[List[str]] = None) -> int:
 
         only = _split_tokens(args.only)
         skip = _split_tokens(args.skip)
-        # Budget: explicit flags win per-slot over the environment.
-        try:
-            budget = supervise.budget_from_env()
-        except supervise.BudgetError as exc:
-            raise CLIError(str(exc)) from None
+        budget = None
         if args.timeout is not None or args.experiment_timeout is not None:
             budget = supervise.Budget(
-                run_timeout_s=(
-                    args.timeout if args.timeout is not None
-                    else (budget.run_timeout_s if budget else None)
-                ),
-                experiment_timeout_s=(
-                    args.experiment_timeout
-                    if args.experiment_timeout is not None
-                    else (budget.experiment_timeout_s if budget else None)
-                ),
-            )
-        if budget is not None:
-            budget = budget.arm()
+                run_timeout_s=args.timeout,
+                experiment_timeout_s=args.experiment_timeout,
+            ).arm()
         ctx = RunContext(
             machine=_resolve_machine_arg(args.machine),
             workloads=_resolve_workload_args(args.workloads),

@@ -21,7 +21,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.machine.params import BranchPredictorParams
-from repro.perf import use_vectorized
 from repro.trace.phase import Phase
 
 
@@ -40,8 +39,8 @@ def _batch_counter_predict(
     the function monoid) instead of a per-branch Python loop.
 
     Updates ``table`` in place; returns per-branch correctness flags in
-    stream order.  Bit-identical to the scalar ``predict_and_update``
-    loop (the equivalence tests enforce it).
+    stream order.  Bit-identical to calling ``predict_and_update`` once
+    per branch (the equivalence tests enforce it).
     """
     n = len(idx)
     if n == 0:
@@ -165,21 +164,12 @@ class GsharePredictor:
             self.stats.mispredicts += 1
         return correct
 
-    def run(
-        self,
-        pcs: np.ndarray,
-        outcomes: np.ndarray,
-        vectorized: Optional[bool] = None,
-    ) -> BranchStats:
+    def run(self, pcs: np.ndarray, outcomes: np.ndarray) -> BranchStats:
         """Feed a stream of (pc, taken) pairs; returns cumulative stats."""
         pcs = np.asarray(pcs, dtype=np.int64)
         outcomes = np.asarray(outcomes, dtype=bool)
         if len(pcs) != len(outcomes):
             raise ValueError("pcs and outcomes must have equal length")
-        if not use_vectorized(vectorized):
-            for pc, taken in zip(pcs, outcomes):
-                self.predict_and_update(int(pc), bool(taken))
-            return self.stats
         hist, final_history = _global_histories(
             outcomes, self._history, self.params.history_bits
         )
@@ -228,20 +218,11 @@ class BimodalPredictor:
             self.stats.mispredicts += 1
         return correct
 
-    def run(
-        self,
-        pcs: np.ndarray,
-        outcomes: np.ndarray,
-        vectorized: Optional[bool] = None,
-    ) -> BranchStats:
+    def run(self, pcs: np.ndarray, outcomes: np.ndarray) -> BranchStats:
         pcs = np.asarray(pcs, dtype=np.int64)
         outcomes = np.asarray(outcomes, dtype=bool)
         if len(pcs) != len(outcomes):
             raise ValueError("pcs and outcomes must have equal length")
-        if not use_vectorized(vectorized):
-            for pc, taken in zip(pcs, outcomes):
-                self.predict_and_update(int(pc), bool(taken))
-            return self.stats
         correct = _batch_counter_predict(
             self._table, pcs & self._mask, outcomes
         )

@@ -53,7 +53,6 @@ def lat_mem_rd(
     mode: str = "exact",
     samples: int = 8000,
     seed: int = 12345,
-    vectorized: Optional[bool] = None,
 ) -> List[LatencyPoint]:
     """Measure average dependent-load latency across footprints.
 
@@ -68,8 +67,6 @@ def lat_mem_rd(
             simulators).
         samples: chain steps replayed in structural mode.
         seed: RNG seed for the chain permutation (structural mode).
-        vectorized: force the batch (True) or scalar (False) replay in
-            structural mode; None defers to the global flag.
 
     Returns:
         One :class:`LatencyPoint` per footprint, ascending.
@@ -103,8 +100,8 @@ def lat_mem_rd(
             for addr_pass in (addrs, addrs):
                 l1.stats = type(l1.stats)()
                 l2.stats = type(l2.stats)()
-                miss1 = l1.run_misses(addr_pass, vectorized=vectorized)
-                l2.run_misses(addr_pass[miss1], vectorized=vectorized)
+                miss1 = l1.run_misses(addr_pass)
+                l2.run_misses(addr_pass[miss1])
             l1_rate = l1.stats.miss_rate()
             l2_local = l2.stats.miss_rate()
 

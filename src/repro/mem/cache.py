@@ -1,11 +1,10 @@
 """Structural set-associative LRU cache simulator.
 
 Simulates concrete address streams line-by-line.  Whole-stream replay
-(:meth:`SetAssocCache.run`) is vectorized through the batched LRU engine
-of :mod:`repro.mem.lru_batch`; the per-access scalar loop is kept as the
-reference implementation, selected with ``vectorized=False`` (or globally
-via ``REPRO_SCALAR_SIM=1``, see :mod:`repro.perf`).  Both paths produce
-bit-identical hit/miss streams — the equivalence tests enforce it.
+(:meth:`SetAssocCache.run`) goes through the batched LRU engine of
+:mod:`repro.mem.lru_batch`; it produces the same hit/miss stream, stats
+and per-set LRU order as calling :meth:`SetAssocCache.access` once per
+address (the equivalence tests enforce it).
 
 Supports multi-context interleaving: pass a ``contexts`` array alongside
 addresses to attribute hits/misses per hardware context while they share
@@ -21,7 +20,6 @@ import numpy as np
 
 from repro.machine.params import CacheParams
 from repro.mem.lru_batch import batch_lru
-from repro.perf import use_vectorized
 
 
 @dataclass
@@ -109,7 +107,6 @@ class SetAssocCache:
         self,
         addresses: np.ndarray,
         contexts: Optional[np.ndarray] = None,
-        vectorized: Optional[bool] = None,
     ) -> CacheStats:
         """Simulate a whole address stream; returns cumulative stats.
 
@@ -117,17 +114,14 @@ class SetAssocCache:
             addresses: int64 byte addresses.
             contexts: optional per-access hardware-context ids (same
                 length); defaults to context 0.
-            vectorized: force the batch (True) or scalar reference
-                (False) path; None defers to the global flag.
         """
-        self.run_misses(addresses, contexts, vectorized)
+        self.run_misses(addresses, contexts)
         return self.stats
 
     def run_misses(
         self,
         addresses: np.ndarray,
         contexts: Optional[np.ndarray] = None,
-        vectorized: Optional[bool] = None,
     ) -> np.ndarray:
         """Like :meth:`run`, but also returns per-access miss flags
         (needed by replay drivers that feed one level's misses to the
@@ -139,46 +133,6 @@ class SetAssocCache:
             ctx_arr = np.asarray(contexts, dtype=np.int64)
             if len(ctx_arr) != len(addresses):
                 raise ValueError("contexts must match addresses in length")
-        if use_vectorized(vectorized):
-            return self._run_batch(addresses, ctx_arr)
-        return self._run_scalar(addresses, ctx_arr)
-
-    def _run_scalar(
-        self, addresses: np.ndarray, ctx_arr: np.ndarray
-    ) -> np.ndarray:
-        """Reference implementation: the original per-access loop."""
-        line_bytes = self.params.line_bytes
-        n_sets = self.params.n_sets
-        lines = addresses // line_bytes
-        set_idx = lines % n_sets
-        tags = lines // n_sets
-        tags_arr, stamp_arr = self._tags, self._stamp
-        clock = self._clock
-        stats = self.stats
-        miss_flags = np.empty(len(addresses), dtype=bool)
-        for i in range(len(addresses)):
-            s = set_idx[i]
-            t = tags[i]
-            clock += 1
-            row = tags_arr[s]
-            hits = np.nonzero(row == t)[0]
-            if hits.size:
-                stamp_arr[s, hits[0]] = clock
-                stats.record(int(ctx_arr[i]), miss=False)
-                miss_flags[i] = False
-            else:
-                victim = int(np.argmin(stamp_arr[s]))
-                tags_arr[s, victim] = t
-                stamp_arr[s, victim] = clock
-                stats.record(int(ctx_arr[i]), miss=True)
-                miss_flags[i] = True
-        self._clock = clock
-        return miss_flags
-
-    def _run_batch(
-        self, addresses: np.ndarray, ctx_arr: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized path: set-partitioned batch LRU simulation."""
         if len(addresses) == 0:
             return np.empty(0, dtype=bool)
         n_sets = self.params.n_sets
@@ -218,8 +172,8 @@ class SetAssocCache:
         """Materialize batch-final residents into the tag/stamp arrays.
 
         Way slots are assigned in LRU->MRU order; stamps end at the
-        current clock so subsequent scalar accesses observe the same
-        recency order as if they had run access-by-access.
+        current clock so later :meth:`access` calls observe the same
+        recency order as if the batch had run access-by-access.
         """
         n_sets = self.params.n_sets
         self._tags.fill(-1)

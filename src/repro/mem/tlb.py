@@ -9,13 +9,11 @@ miss-rate comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from repro.machine.params import TLBParams
 from repro.mem.lru_batch import batch_lru
-from repro.perf import use_vectorized
 
 
 @dataclass
@@ -59,63 +57,28 @@ class TLB:
         self.stats.misses += 1
         return True
 
-    def run(
-        self,
-        addresses: np.ndarray,
-        vectorized: Optional[bool] = None,
-    ) -> TLBStats:
+    def run(self, addresses: np.ndarray) -> TLBStats:
         """Translate a whole stream; returns cumulative stats."""
-        self.run_misses(addresses, vectorized)
+        self.run_misses(addresses)
         return self.stats
 
-    def run_misses(
-        self,
-        addresses: np.ndarray,
-        vectorized: Optional[bool] = None,
-    ) -> np.ndarray:
-        """Like :meth:`run`, but also returns per-access miss flags."""
+    def run_misses(self, addresses: np.ndarray) -> np.ndarray:
+        """Like :meth:`run`, but also returns per-access miss flags.
+
+        The TLB is the one-set case of the batched LRU engine (fully
+        associative, ``entries`` ways)."""
         pages_stream = (
             np.asarray(addresses, dtype=np.int64) // self.params.page_bytes
         )
-        if use_vectorized(vectorized):
-            return self._run_batch(pages_stream)
-        return self._run_scalar(pages_stream)
-
-    def _run_scalar(self, pages_stream: np.ndarray) -> np.ndarray:
-        """Reference implementation: the original per-access loop."""
-        pages, stamp = self._pages, self._stamp
-        clock = self._clock
-        stats = self.stats
-        miss_flags = np.empty(len(pages_stream), dtype=bool)
-        for i, p in enumerate(pages_stream):
-            clock += 1
-            stats.accesses += 1
-            hits = np.nonzero(pages == p)[0]
-            if hits.size:
-                stamp[hits[0]] = clock
-                miss_flags[i] = False
-            else:
-                victim = int(np.argmin(stamp))
-                pages[victim] = p
-                stamp[victim] = clock
-                stats.misses += 1
-                miss_flags[i] = True
-        self._clock = clock
-        return miss_flags
-
-    def _run_batch(self, pages_stream: np.ndarray) -> np.ndarray:
-        """Vectorized path: the TLB is the one-set case of the batched
-        LRU engine (fully associative, `entries` ways)."""
         n = len(pages_stream)
         if n == 0:
             return np.empty(0, dtype=bool)
         valid = np.flatnonzero(self._pages >= 0)
         order = np.argsort(self._stamp[valid])  # LRU first
         state_keys = self._pages[valid][order]
-        zeros = np.zeros(len(pages_stream), dtype=np.int64)
         miss, final_keys, _ = batch_lru(
             pages_stream,
-            zeros,
+            np.zeros(n, dtype=np.int64),
             self.params.entries,
             state_keys,
             np.zeros(len(state_keys), dtype=np.int64),

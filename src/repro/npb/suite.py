@@ -3,16 +3,12 @@
 Since the :class:`~repro.workload.spec.WorkloadSpec` layer landed, the
 eight NAS modules are spec *producers*: :func:`benchmark_spec` captures
 each module's built workload as a validated, fingerprintable spec, and
-:func:`build_workload` builds through that spec path by default.  The
-pre-spec direct path is kept behind ``REPRO_NPB_BUILD=legacy`` solely so
-CI can assert the two produce byte-identical artifacts; the built
-:class:`~repro.trace.phase.Workload` objects are equal either way.
+:func:`build_workload` builds through that spec.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 from typing import List, Optional, Union
 
 from repro.npb import bt, cg, ep, ft, is_, lu, mg, sp
@@ -36,12 +32,6 @@ ALL_BENCHMARKS: List[str] = sorted(_MODULES)
 #: The six class-B benchmarks the paper studies (Section 3.2; names
 #: reconstructed from the garbled OCR, see EXPERIMENTS.md §reconstruction).
 PAPER_BENCHMARKS: List[str] = ["CG", "MG", "SP", "FT", "LU", "EP"]
-
-#: Build-path selector: ``spec`` (default) routes builds through the
-#: WorkloadSpec producers; ``legacy`` calls the module builders directly.
-#: Exists for the CI byte-identity gate, not for users.
-BUILD_PATH_ENV = "REPRO_NPB_BUILD"
-
 
 class UnknownBenchmarkError(KeyError):
     """An unknown NAS benchmark name (the CLI maps this to exit 2)."""
@@ -101,11 +91,6 @@ def _spec_cached(key: str, problem_class: ProblemClass):
     return _MODULES[key].spec(problem_class)
 
 
-@functools.lru_cache(maxsize=64)
-def _legacy_build_cached(key: str, problem_class: ProblemClass) -> Workload:
-    return _MODULES[key].build(problem_class)
-
-
 def benchmark_spec(
     name: str, problem_class: Union[ProblemClass, str] = ProblemClass.B
 ):
@@ -123,11 +108,9 @@ def build_workload(
     name: str, problem_class: Union[ProblemClass, str] = ProblemClass.B
 ) -> Workload:
     """Build a benchmark workload model by name (case-insensitive)."""
-    key = resolve_benchmark(name)
-    pc = _resolve_class(problem_class)
-    if os.environ.get(BUILD_PATH_ENV, "spec") == "legacy":
-        return _legacy_build_cached(key, pc)
-    return _spec_cached(key, pc).build()
+    return _spec_cached(
+        resolve_benchmark(name), _resolve_class(problem_class)
+    ).build()
 
 
 def benchmark_info(name: str) -> BenchmarkInfo:

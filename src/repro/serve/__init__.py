@@ -30,6 +30,7 @@ from repro.serve.store import (
     Job,
     JobJournal,
     JobStore,
+    JobsJournalError,
     JobsJournalState,
     TERMINAL_STATES,
     load_jobs_journal,
@@ -45,6 +46,7 @@ __all__ = [
     "JobSpec",
     "JobSpecError",
     "JobStore",
+    "JobsJournalError",
     "JobsJournalState",
     "Scheduler",
     "SchedulerClosed",

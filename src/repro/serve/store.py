@@ -34,6 +34,7 @@ __all__ = [
     "Job",
     "JobJournal",
     "JobStore",
+    "JobsJournalError",
     "JobsJournalState",
     "MAX_TERMINAL_JOBS",
     "TERMINAL_STATES",
@@ -160,53 +161,70 @@ class JobsJournalState:
         return [j for j in self.jobs.values() if not j.terminal]
 
 
+class JobsJournalError(ValueError):
+    """The serve journal is unreadable or holds a malformed record."""
+
+
 def load_jobs_journal(path: Path) -> Optional[JobsJournalState]:
     """Reconstruct job states from a serve journal (None if absent).
 
     Crash-tolerant the same way the campaign journal is: a torn final
-    line is ignored, anything after it is never trusted, and a journal
-    written by a newer schema raises ``ValueError`` rather than being
-    misread.
+    line is ignored.  A corrupt earlier line, a record that is not a
+    well-formed object, or a journal written by a newer schema raises
+    :class:`JobsJournalError` rather than being misread.
     """
     path = Path(path)
     if not path.exists():
         return None
+    try:
+        lines = path.read_text(encoding="utf-8", errors="replace").splitlines()
+    except OSError as exc:
+        raise JobsJournalError(
+            f"cannot read serve journal {path}: {exc}"
+        ) from None
     state = JobsJournalState(jobs={})
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError:
-                break  # torn write: trust nothing at or after it
-            event = record.get("event")
-            if event == "server-started":
-                schema = record.get("schema", 0)
-                if schema > JOBS_JOURNAL_SCHEMA:
-                    raise ValueError(
-                        f"serve journal {path} written by schema "
-                        f"{schema}; this package understands "
-                        f"{JOBS_JOURNAL_SCHEMA}"
-                    )
-            elif event == "submitted":
-                job_id = record["job"]
-                state.jobs[job_id] = Job(
-                    id=job_id, key=record.get("key", ""),
-                    spec=record.get("spec", {}),
-                    state=QUEUED, source=record.get("source", "executed"),
+    for index, raw in enumerate(lines):
+        if not raw.strip():
+            continue
+        where = f"serve journal {path} line {index + 1}"
+        try:
+            record = json.loads(raw)
+        except json.JSONDecodeError:
+            if index == len(lines) - 1:
+                break  # the write a crash interrupted: ignorable
+            raise JobsJournalError(
+                f"{where} is corrupt (not valid JSON, and not the final "
+                f"record)"
+            ) from None
+        if not isinstance(record, dict):
+            raise JobsJournalError(f"{where} is not a record object")
+        event = record.get("event")
+        job_id = record.get("job")
+        if event in ("submitted", "state") and not isinstance(job_id, str):
+            raise JobsJournalError(f"{where}: {event} record has no job id")
+        if event == "server-started":
+            schema = record.get("schema", 0)
+            if not isinstance(schema, int) or schema > JOBS_JOURNAL_SCHEMA:
+                raise JobsJournalError(
+                    f"serve journal {path} written by schema {schema!r}; "
+                    f"this package understands {JOBS_JOURNAL_SCHEMA}"
                 )
-            elif event == "state":
-                job = state.jobs.get(record.get("job", ""))
-                if job is not None:
-                    job.state = record.get("state", job.state)
-                    job.source = record.get("source", job.source)
-                    job.error = record.get("error", job.error)
-                    job.reason = record.get("reason", job.reason)
-            elif event == "shutdown":
-                state.clean_shutdown = True
-                state.drain_cancelled = record.get("cancelled", 0)
+        elif event == "submitted":
+            state.jobs[job_id] = Job(
+                id=job_id, key=record.get("key", ""),
+                spec=record.get("spec", {}),
+                state=QUEUED, source=record.get("source", "executed"),
+            )
+        elif event == "state":
+            job = state.jobs.get(job_id)
+            if job is not None:
+                job.state = record.get("state", job.state)
+                job.source = record.get("source", job.source)
+                job.error = record.get("error", job.error)
+                job.reason = record.get("reason", job.reason)
+        elif event == "shutdown":
+            state.clean_shutdown = True
+            state.drain_cancelled = record.get("cancelled", 0)
     return state
 
 

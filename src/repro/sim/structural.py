@@ -4,7 +4,7 @@ The analytic engine predicts HT-sibling sharing effects (capacity
 dilution, constructive sharing, miss amortization) in closed form.  This
 module *measures* the same quantities by replaying sampled address
 streams — interleaved exactly as two hardware contexts interleave them —
-through the access-by-access :class:`~repro.mem.cache.SetAssocCache` and
+through the structural :class:`~repro.mem.cache.SetAssocCache` and
 :class:`~repro.mem.tlb.TLB` simulators.
 
 It serves two purposes:
@@ -28,7 +28,6 @@ from repro.machine.registry import default_params
 from repro.mem.cache import SetAssocCache
 from repro.mem.hierarchy import HierarchyModel, LevelRates
 from repro.mem.tlb import TLB
-from repro.perf import use_vectorized
 from repro.trace.phase import Phase
 from repro.trace.sampling import sample_mix
 
@@ -72,13 +71,11 @@ class StructuralCoSimulator:
         samples: int = 30000,
         warmup_fraction: float = 0.25,
         seed: int = 20070325,
-        vectorized: Optional[bool] = None,
     ):
         self.params = params if params is not None else default_params()
         self.samples = samples
         self.warmup_fraction = warmup_fraction
         self.seed = seed
-        self.vectorized = vectorized
 
     # ------------------------------------------------------------------
     def _phase_stream(
@@ -144,46 +141,36 @@ class StructuralCoSimulator:
 
         The three structures are independent (the L2 simply sees the
         subsequence of addresses that missed L1, the DTLB sees every
-        address), so the vectorized path replays each structure's whole
-        substream through the batched LRU engine; the scalar reference
-        interleaves them access by access.  Both orders produce the
-        same per-structure access sequences, hence identical rates.
+        measured address), so each structure's whole substream replays
+        through the batched LRU engine in one call.  The rates equal
+        those of interleaving the structures access by access.
         """
-        if use_vectorized(self.vectorized):
-            return self._replay_batch(addrs, ctxs)
-        return self._replay_scalar(addrs, ctxs)
-
-    def _replay_batch(
-        self, addrs: np.ndarray, ctxs: np.ndarray
-    ) -> StructuralRates:
         p = self.params
         l1 = SetAssocCache(p.l1d)
         l2 = SetAssocCache(p.l2)
         dtlb = TLB(p.dtlb)
         n_warm = int(len(addrs) * self.warmup_fraction)
 
-        # L1: warmup batch, stats reset at the warmup boundary exactly
-        # as the scalar loop does, then the measured batch.
-        warm_miss1 = l1.run_misses(
-            addrs[:n_warm], ctxs[:n_warm], vectorized=True
-        )
+        # L1: warmup batch, stats reset at the warmup boundary, then
+        # the measured batch.
+        warm_miss1 = l1.run_misses(addrs[:n_warm], ctxs[:n_warm])
         l1.stats = type(l1.stats)()
-        miss1 = l1.run_misses(addrs[n_warm:], ctxs[n_warm:], vectorized=True)
+        miss1 = l1.run_misses(addrs[n_warm:], ctxs[n_warm:])
 
         # L2 sees every L1 miss (warmup included, to warm its arrays);
         # only the measured portion is counted.
         all_miss1 = np.concatenate([warm_miss1, miss1])
         l2_stream = addrs[all_miss1]
-        miss2 = l2.run_misses(l2_stream, ctxs[all_miss1], vectorized=True)
+        miss2 = l2.run_misses(l2_stream, ctxs[all_miss1])
         measured2 = np.flatnonzero(all_miss1) >= n_warm
         l2_ctx = ctxs[all_miss1]
         sel2 = measured2 & (l2_ctx == 0)
         l2_acc0 = int(sel2.sum())
         l2_miss0 = int(miss2[sel2].sum())
 
-        # The DTLB is only driven during the measured window (the scalar
-        # loop never touches it in warmup); count its context-0 slice.
-        tlb_miss = dtlb.run_misses(addrs[n_warm:], vectorized=True)
+        # The DTLB is only driven during the measured window (never in
+        # warmup); count its context-0 slice.
+        tlb_miss = dtlb.run_misses(addrs[n_warm:])
         sel_t = ctxs[n_warm:] == 0
         tlb_acc0 = int(sel_t.sum())
         tlb_miss0 = int(tlb_miss[sel_t].sum())
@@ -192,46 +179,6 @@ class StructuralCoSimulator:
             l1_miss_rate=l1.stats.miss_rate(0),
             l2_miss_rate=l2_miss0 / l2_acc0 if l2_acc0 else 0.0,
             dtlb_miss_rate=tlb_miss0 / tlb_acc0 if tlb_acc0 else 0.0,
-        )
-
-    def _replay_scalar(
-        self, addrs: np.ndarray, ctxs: np.ndarray
-    ) -> StructuralRates:
-        """Reference implementation: the original interleaved loop."""
-        p = self.params
-        l1 = SetAssocCache(p.l1d)
-        l2 = SetAssocCache(p.l2)
-        dtlb = TLB(p.dtlb)
-
-        n_warm = int(len(addrs) * self.warmup_fraction)
-        l2_acc = {0: 0, 1: 0}
-        l2_miss = {0: 0, 1: 0}
-        dtlb_acc = {0: 0, 1: 0}
-        dtlb_miss = {0: 0, 1: 0}
-
-        for i in range(len(addrs)):
-            a = int(addrs[i])
-            c = int(ctxs[i])
-            measured = i >= n_warm
-            if i == n_warm:
-                l1.stats = type(l1.stats)()
-            miss1 = l1.access(a, context=c)
-            if miss1:
-                miss2 = l2.access(a, context=c)
-                if measured:
-                    l2_acc[c] += 1
-                    l2_miss[c] += int(miss2)
-            if measured:
-                dtlb_acc[c] += 1
-                dtlb_miss[c] += int(dtlb.access(a))
-
-        l1_rate = l1.stats.miss_rate(0)
-        l2_rate = l2_miss[0] / l2_acc[0] if l2_acc[0] else 0.0
-        dtlb_rate = dtlb_miss[0] / dtlb_acc[0] if dtlb_acc[0] else 0.0
-        return StructuralRates(
-            l1_miss_rate=l1_rate,
-            l2_miss_rate=l2_rate,
-            dtlb_miss_rate=dtlb_rate,
         )
 
     # ------------------------------------------------------------------

@@ -45,12 +45,9 @@ from repro.supervise.backoff import (  # noqa: F401  (re-exports)
     reset_breakers,
 )
 from repro.supervise.budget import (  # noqa: F401
-    EXPERIMENT_TIMEOUT_ENV,
-    TIMEOUT_ENV,
     Budget,
     BudgetError,
     DeadlineExceeded,
-    budget_from_env,
 )
 from repro.supervise.cancel import (  # noqa: F401
     CancelToken,
@@ -77,7 +74,6 @@ __all__ = [
     "CancelledRun",
     "CircuitBreaker",
     "DeadlineExceeded",
-    "EXPERIMENT_TIMEOUT_ENV",
     "JOURNAL_ENV",
     "JOURNAL_NAME",
     "JOURNAL_SCHEMA",
@@ -86,11 +82,9 @@ __all__ = [
     "JournalSchemaError",
     "JournalState",
     "SupervisionObserver",
-    "TIMEOUT_ENV",
     "active",
     "breaker",
     "breaker_states",
-    "budget_from_env",
     "check",
     "current_budget",
     "default_watchdog_s",

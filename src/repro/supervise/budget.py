@@ -2,8 +2,7 @@
 
 A :class:`Budget` is a declarative pair of timeouts — one for the whole
 ``run-all`` campaign, one per experiment — created from the CLI's
-``--timeout`` / ``--experiment-timeout`` flags or the ``REPRO_TIMEOUT``
-/ ``REPRO_EXPERIMENT_TIMEOUT`` environment.  It stays inert (no
+``--timeout`` / ``--experiment-timeout`` flags.  It stays inert (no
 deadline) until :meth:`Budget.arm` stamps the campaign start time;
 armed budgets travel to pool workers by pickling (``time.monotonic`` is
 the system-wide ``CLOCK_MONOTONIC`` on Linux, so absolute deadlines
@@ -25,7 +24,6 @@ budget:
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
 from typing import Any, Dict, Optional
 
@@ -33,17 +31,11 @@ __all__ = [
     "Budget",
     "BudgetError",
     "DeadlineExceeded",
-    "EXPERIMENT_TIMEOUT_ENV",
-    "TIMEOUT_ENV",
-    "budget_from_env",
 ]
-
-TIMEOUT_ENV = "REPRO_TIMEOUT"
-EXPERIMENT_TIMEOUT_ENV = "REPRO_EXPERIMENT_TIMEOUT"
 
 
 class BudgetError(ValueError):
-    """A malformed timeout value (flag or environment)."""
+    """A malformed timeout value."""
 
 
 class DeadlineExceeded(RuntimeError):
@@ -139,34 +131,3 @@ class Budget:
             "experiment_timeout_s": self.experiment_timeout_s,
         }
 
-
-def _parse_timeout(raw: str, origin: str) -> Optional[float]:
-    text = raw.strip()
-    if not text:
-        return None
-    try:
-        value = float(text)
-    except ValueError:
-        raise BudgetError(
-            f"{origin} must be a number of seconds, got {raw!r}"
-        ) from None
-    if value <= 0:
-        raise BudgetError(f"{origin} must be > 0, got {raw!r}")
-    return value
-
-
-def budget_from_env() -> Optional[Budget]:
-    """The budget the environment asks for, or None.
-
-    ``REPRO_TIMEOUT`` bounds the whole campaign and
-    ``REPRO_EXPERIMENT_TIMEOUT`` each experiment; malformed values
-    raise :class:`BudgetError` (a silent no-op timeout is worse than a
-    loud typo).
-    """
-    run_s = _parse_timeout(os.environ.get(TIMEOUT_ENV, ""), TIMEOUT_ENV)
-    exp_s = _parse_timeout(
-        os.environ.get(EXPERIMENT_TIMEOUT_ENV, ""), EXPERIMENT_TIMEOUT_ENV
-    )
-    if run_s is None and exp_s is None:
-        return None
-    return Budget(run_timeout_s=run_s, experiment_timeout_s=exp_s)

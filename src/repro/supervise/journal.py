@@ -212,6 +212,13 @@ class JournalState:
         )
 
 
+#: Record types that name a task and so must carry its ``id``.
+_TASK_RECORDS = (
+    "task-started", "task-finished", "task-failed", "task-skipped",
+    "task-cancelled",
+)
+
+
 def load_journal(path: Path) -> JournalState:
     """Replay a journal into a :class:`JournalState`.
 
@@ -249,6 +256,12 @@ def load_journal(path: Path) -> JournalState:
                 f"journal {path} line {index + 1} is not a record object"
             )
         rtype = record.get("type")
+        task_id = record.get("id")
+        if rtype in _TASK_RECORDS and not isinstance(task_id, str):
+            raise JournalError(
+                f"journal {path} line {index + 1}: {rtype} record has no "
+                f"task id"
+            )
         if rtype == "run-started":
             schema = record.get("schema")
             if not isinstance(schema, int) or schema > JOURNAL_SCHEMA:
@@ -260,19 +273,19 @@ def load_journal(path: Path) -> JournalState:
                 )
             state.header = record
         elif rtype == "task-started":
-            started.append(record["id"])
+            started.append(task_id)
         elif rtype == "task-finished":
-            state.finished[record["id"]] = record.get("meta", {})
-            done.add(record["id"])
+            state.finished[task_id] = record.get("meta", {})
+            done.add(task_id)
         elif rtype == "task-failed":
-            state.failed[record["id"]] = record.get("failure", {})
-            done.add(record["id"])
+            state.failed[task_id] = record.get("failure", {})
+            done.add(task_id)
         elif rtype == "task-skipped":
-            state.skipped[record["id"]] = list(record.get("blocked_by", []))
-            done.add(record["id"])
+            state.skipped[task_id] = list(record.get("blocked_by", []))
+            done.add(task_id)
         elif rtype == "task-cancelled":
-            state.cancelled[record["id"]] = record.get("reason", "")
-            done.add(record["id"])
+            state.cancelled[task_id] = record.get("reason", "")
+            done.add(task_id)
         elif rtype == "wave-committed":
             state.committed_waves.append(record["wave"])
         elif rtype == "run-finished":

@@ -48,7 +48,7 @@ def clean_runtime_switches(monkeypatch):
     The switches themselves live on the active ``RunContext`` and end
     with the ``with`` block that set them; what remains process-wide is
     the environment — an externally-set ``REPRO_FAULTS``/
-    ``REPRO_VERIFY``/``REPRO_BATCH``/``REPRO_TIMEOUT`` must not leak
+    ``REPRO_VERIFY``/``REPRO_BATCH``/``REPRO_JOURNAL`` must not leak
     in — and the process cancel token and circuit breakers, which
     ``supervise.reset()`` clears on both sides.
     """
@@ -58,11 +58,7 @@ def clean_runtime_switches(monkeypatch):
     monkeypatch.delenv(faults.FAULTS_ENV, raising=False)
     monkeypatch.delenv(verify.VERIFY_ENV, raising=False)
     monkeypatch.delenv(batch.BATCH_ENV, raising=False)
-    monkeypatch.delenv(supervise.TIMEOUT_ENV, raising=False)
-    monkeypatch.delenv(supervise.EXPERIMENT_TIMEOUT_ENV, raising=False)
     monkeypatch.delenv(supervise.JOURNAL_ENV, raising=False)
-    for key in [k for k in os.environ if k.startswith("REPRO_SERVE_")]:
-        monkeypatch.delenv(key, raising=False)
     supervise.reset()
     yield
     supervise.reset()

@@ -241,35 +241,6 @@ class TestSupervisionCli:
         assert exc.value.code == 2
         assert "must be > 0 seconds" in capsys.readouterr().err
 
-    def test_flags_beat_environment_per_slot(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        from repro import supervise
-
-        monkeypatch.setenv(supervise.TIMEOUT_ENV, "120")
-        monkeypatch.setenv(supervise.EXPERIMENT_TIMEOUT_ENV, "10")
-        assert main(["run-all", "--out", str(tmp_path),
-                     "--only", self.ONLY, "--timeout", "30"]) == 0
-        capsys.readouterr()
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        # --timeout overrode REPRO_TIMEOUT; the untouched slot kept the
-        # environment's value.
-        assert manifest["supervision"]["budget"] == {
-            "run_timeout_s": 30.0, "experiment_timeout_s": 10.0,
-        }
-
-    def test_malformed_timeout_env_is_a_usage_error(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        from repro import supervise
-
-        monkeypatch.setenv(supervise.TIMEOUT_ENV, "soon")
-        assert main(["run-all", "--out", str(tmp_path),
-                     "--only", self.ONLY]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and supervise.TIMEOUT_ENV in err
-        assert not (tmp_path / "manifest.json").exists()
-
     def test_journal_finalized_away_on_success(self, tmp_path, capsys):
         from repro.supervise import JOURNAL_NAME
 

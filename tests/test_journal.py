@@ -122,6 +122,19 @@ class TestLoadJournalEdgeCases:
         with pytest.raises(JournalError, match="not a record"):
             load_journal(path)
 
+    @pytest.mark.parametrize("rtype", [
+        "task-started", "task-finished", "task-failed", "task-skipped",
+        "task-cancelled",
+    ])
+    def test_task_record_without_id_is_refused(self, tmp_path, rtype):
+        path = tmp_path / JOURNAL_NAME
+        write_lines(path, [
+            json.dumps({"type": "run-started", "schema": JOURNAL_SCHEMA}),
+            json.dumps({"type": rtype, "wave": 0}),
+        ])
+        with pytest.raises(JournalError, match="line 2: .* no task id"):
+            load_journal(path)
+
     def test_newer_schema_is_refused_loudly(self, tmp_path):
         path = tmp_path / JOURNAL_NAME
         write_lines(path, [

@@ -16,8 +16,8 @@ number.  The laws:
 7.  the invariant auditor is clean on every random machine;
 8.  instruction conservation holds on every random machine;
 9.  structural counter closures hold on every random machine;
-10. the scalar and vectorized cache replay paths agree bit-for-bit;
-11. the scalar and vectorized TLB replay paths agree bit-for-bit;
+10. cache batch replay agrees bit-for-bit with the per-access oracle;
+11. TLB batch replay agrees bit-for-bit with the per-access oracle;
 12. a workload with no parallel phases is invariant to the team size;
 13. a larger last-level cache never increases the last-level miss
     count, whatever the hierarchy depth (2-4 levels);
@@ -53,6 +53,7 @@ from repro.testing.strategies import (
     nlevel_machine_trees,
     numa_topology_tables,
 )
+from tests.oracles.replay import cache_run_misses, tlb_run_misses
 
 WORKLOAD = build_workload("CG", "B")
 CONFIG = get_config("ht_off_2_1")
@@ -289,8 +290,8 @@ class TestVectorizedScalarAgreement:
 
         scalar = SetAssocCache(params)
         batch = SetAssocCache(params)
-        flags_scalar = scalar.run_misses(addresses, contexts, vectorized=False)
-        flags_batch = batch.run_misses(addresses, contexts, vectorized=True)
+        flags_scalar = cache_run_misses(scalar, addresses, contexts)
+        flags_batch = batch.run_misses(addresses, contexts)
         assert np.array_equal(flags_scalar, flags_batch)
         assert scalar.stats.accesses == batch.stats.accesses
         assert scalar.stats.misses == batch.stats.misses
@@ -313,6 +314,6 @@ class TestVectorizedScalarAgreement:
 
         scalar = TLB(params)
         batch = TLB(params)
-        flags_scalar = scalar.run_misses(addresses, vectorized=False)
-        flags_batch = batch.run_misses(addresses, vectorized=True)
+        flags_scalar = tlb_run_misses(scalar, addresses)
+        flags_batch = batch.run_misses(addresses)
         assert np.array_equal(flags_scalar, flags_batch)

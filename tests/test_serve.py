@@ -504,12 +504,39 @@ def test_cli_serve_bounds_the_run_cache_memory_tier(monkeypatch):
     assert seen["bound"] == runner.MEMORY_TIER_RUNS
 
 
-def test_cli_serve_env_validation():
-    env = _env()
-    env["REPRO_SERVE_PORT"] = "not-a-port"
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "serve"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert proc.returncode == 2
-    assert "REPRO_SERVE_PORT" in proc.stderr
+_SUBMITTED = json.dumps({"event": "submitted", "job": "j000001", "key": "k"})
+
+
+@pytest.mark.parametrize("lines, fragment", [
+    (["[1, 2]"], "not a record object"),
+    ([json.dumps({"event": "server-started", "schema": "2"})], "schema '2'"),
+    ([json.dumps({"event": "submitted", "key": "k"})], "has no job id"),
+    ([_SUBMITTED, "{torn", _SUBMITTED], "line 2 is corrupt"),
+], ids=["non-object", "string-schema", "submitted-without-job", "corrupt-middle"])
+def test_cli_serve_rejects_malformed_journal(
+    tmp_path, monkeypatch, capsys, lines, fragment
+):
+    from repro import cli
+    from repro.core import runcache
+    from repro.serve import app
+
+    journal = tmp_path / jobstore.JOBS_JOURNAL_NAME
+    journal.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(jobstore.JobsJournalError, match=fragment):
+        jobstore.load_jobs_journal(journal)
+    # A journal that slipped through must not start a blocking server.
+    monkeypatch.setattr(app, "serve_forever", lambda scheduler, **kw: 0)
+    try:
+        code = cli.main(["serve", "--port", "0", "--state-dir", str(tmp_path)])
+    finally:
+        runcache.configure(reset=True)
+    assert code == 2
+    assert fragment in capsys.readouterr().err
+
+
+def test_serve_journal_tolerates_a_torn_final_line(tmp_path):
+    journal = tmp_path / jobstore.JOBS_JOURNAL_NAME
+    journal.write_text(_SUBMITTED + "\n" + '{"event": "sta')
+    state = jobstore.load_jobs_journal(journal)
+    assert list(state.jobs) == ["j000001"]
+    assert state.resumable

@@ -77,12 +77,9 @@ class TestDrawFault:
 class TestEnvAndSpec:
     def test_env_strips_ambient_supervision_knobs(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "experiment:fig2")
-        monkeypatch.setenv("REPRO_TIMEOUT", "5")
-        monkeypatch.setenv("REPRO_EXPERIMENT_TIMEOUT", "5")
         monkeypatch.setenv("REPRO_JOURNAL", "0")
         env = soak._env(None)
-        for key in ("REPRO_FAULTS", "REPRO_TIMEOUT",
-                    "REPRO_EXPERIMENT_TIMEOUT", "REPRO_JOURNAL"):
+        for key in ("REPRO_FAULTS", "REPRO_JOURNAL"):
             assert key not in env
         assert soak._env("hang:0:30")["REPRO_FAULTS"] == "hang:0:30"
 

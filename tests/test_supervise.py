@@ -23,7 +23,6 @@ from repro.supervise import (
     SupervisionObserver,
     breaker,
     breaker_states,
-    budget_from_env,
     install_signal_handlers,
     reset_breakers,
 )
@@ -72,24 +71,6 @@ class TestBudget:
         assert b.as_dict() == {
             "run_timeout_s": 10, "experiment_timeout_s": 4,
         }
-
-    def test_budget_from_env(self, monkeypatch):
-        monkeypatch.delenv(supervise.TIMEOUT_ENV, raising=False)
-        monkeypatch.delenv(supervise.EXPERIMENT_TIMEOUT_ENV, raising=False)
-        assert budget_from_env() is None
-        monkeypatch.setenv(supervise.TIMEOUT_ENV, "30")
-        b = budget_from_env()
-        assert b.run_timeout_s == 30.0 and b.experiment_timeout_s is None
-        monkeypatch.setenv(supervise.EXPERIMENT_TIMEOUT_ENV, "2.5")
-        assert budget_from_env().experiment_timeout_s == 2.5
-
-    def test_budget_from_env_rejects_garbage_loudly(self, monkeypatch):
-        monkeypatch.setenv(supervise.TIMEOUT_ENV, "soon")
-        with pytest.raises(BudgetError):
-            budget_from_env()
-        monkeypatch.setenv(supervise.TIMEOUT_ENV, "-3")
-        with pytest.raises(BudgetError):
-            budget_from_env()
 
 
 class TestCancelToken:

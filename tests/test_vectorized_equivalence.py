@@ -1,8 +1,8 @@
-"""Scalar-vs-vectorized equivalence for the structural simulators.
+"""Batch-replay equivalence for the structural simulators.
 
 The batch replay engines (`repro.mem.lru_batch`, the branch predictor
-scans) must be *exact* reimplementations of the scalar per-access
-reference paths — same miss flags, same counters, same post-run state.
+scans) must be *exact* reimplementations of the per-access oracles in
+``tests/oracles`` — same miss flags, same counters, same post-run state.
 These properties drive random streams through both and require bitwise
 agreement.
 """
@@ -21,6 +21,12 @@ from repro.mem.cache import CacheStats, SetAssocCache
 from repro.mem.tlb import TLB
 from repro.npb.suite import build_workload
 from repro.sim.structural import SharingScenario, StructuralCoSimulator
+from tests.oracles.replay import (
+    ScalarCoSimulator,
+    cache_run_misses,
+    predictor_run,
+    tlb_run_misses,
+)
 
 SMALL_CACHE = CacheParams(
     size_bytes=4096, line_bytes=64, associativity=4, latency_cycles=3
@@ -57,28 +63,31 @@ class TestCacheEquivalence:
         addrs, ctxs = stream
         scalar = SetAssocCache(SMALL_CACHE)
         batch = SetAssocCache(SMALL_CACHE)
-        m_s = scalar.run_misses(addrs, ctxs, vectorized=False)
-        m_b = batch.run_misses(addrs, ctxs, vectorized=True)
+        m_s = cache_run_misses(scalar, addrs, ctxs)
+        m_b = batch.run_misses(addrs, ctxs)
         assert np.array_equal(m_s, m_b)
         assert scalar.stats.accesses == batch.stats.accesses
         assert scalar.stats.misses == batch.stats.misses
+        assert scalar._clock == batch._clock
+        # Way slots may differ; the resident lines per set may not.
+        assert np.array_equal(
+            np.sort(scalar._tags, axis=1), np.sort(batch._tags, axis=1)
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(cache_stream())
     def test_batch_then_scalar_continuation(self, stream):
         """The batch path must leave the cache in the exact LRU state the
-        scalar path would, so a scalar continuation sees the same
+        oracle would, so an oracle continuation sees the same
         hits/misses."""
         addrs, ctxs = stream
         cut = len(addrs) // 2
         mixed = SetAssocCache(SMALL_CACHE)
-        mixed.run_misses(addrs[:cut], ctxs[:cut], vectorized=True)
-        tail_mixed = mixed.run_misses(addrs[cut:], ctxs[cut:],
-                                      vectorized=False)
+        mixed.run_misses(addrs[:cut], ctxs[:cut])
+        tail_mixed = cache_run_misses(mixed, addrs[cut:], ctxs[cut:])
         pure = SetAssocCache(SMALL_CACHE)
-        pure.run_misses(addrs[:cut], ctxs[:cut], vectorized=False)
-        tail_pure = pure.run_misses(addrs[cut:], ctxs[cut:],
-                                    vectorized=False)
+        cache_run_misses(pure, addrs[:cut], ctxs[:cut])
+        tail_pure = cache_run_misses(pure, addrs[cut:], ctxs[cut:])
         assert np.array_equal(tail_mixed, tail_pure)
 
 
@@ -96,13 +105,13 @@ class TestTLBEquivalence:
         params = TLBParams(entries=8)
         scalar, batch = TLB(params), TLB(params)
         assert np.array_equal(
-            scalar.run_misses(addrs, vectorized=False),
-            batch.run_misses(addrs, vectorized=True),
+            tlb_run_misses(scalar, addrs), batch.run_misses(addrs)
         )
+        assert scalar.stats == batch.stats
+        assert np.array_equal(np.sort(scalar._pages), np.sort(batch._pages))
         # Continuation from the written-back LRU state.
         assert np.array_equal(
-            scalar.run_misses(addrs, vectorized=False),
-            batch.run_misses(addrs, vectorized=False),
+            tlb_run_misses(scalar, addrs), tlb_run_misses(batch, addrs)
         )
 
 
@@ -130,9 +139,9 @@ class TestBranchEquivalence:
         pcs, outcomes = stream
         scalar = BimodalPredictor(self.PARAMS)
         batch = BimodalPredictor(self.PARAMS)
-        scalar.run(pcs, outcomes, vectorized=False)
-        batch.run(pcs, outcomes, vectorized=True)
-        assert scalar.stats.mispredicts == batch.stats.mispredicts
+        predictor_run(scalar, pcs, outcomes)
+        batch.run(pcs, outcomes)
+        assert scalar.stats == batch.stats
         assert np.array_equal(scalar._table, batch._table)
 
     @settings(max_examples=60, deadline=None)
@@ -141,9 +150,9 @@ class TestBranchEquivalence:
         pcs, outcomes = stream
         scalar = GsharePredictor(self.PARAMS)
         batch = GsharePredictor(self.PARAMS)
-        scalar.run(pcs, outcomes, vectorized=False)
-        batch.run(pcs, outcomes, vectorized=True)
-        assert scalar.stats.mispredicts == batch.stats.mispredicts
+        predictor_run(scalar, pcs, outcomes)
+        batch.run(pcs, outcomes)
+        assert scalar.stats == batch.stats
         assert scalar._history == batch._history
         assert np.array_equal(scalar._table, batch._table)
 
@@ -167,8 +176,8 @@ class TestStructuralEquivalence:
             co_phase=ft if shared else None,
             same_data=False,
         )
-        fast = StructuralCoSimulator(samples=4000, vectorized=True)
-        slow = StructuralCoSimulator(samples=4000, vectorized=False)
+        fast = StructuralCoSimulator(samples=4000)
+        slow = ScalarCoSimulator(samples=4000)
         r_fast = fast.measure(scenario)
         r_slow = slow.measure(scenario)
         assert r_fast == r_slow

@@ -72,13 +72,6 @@ class TestNasProducers:
         pc = ProblemClass.from_str(letter)
         assert benchmark_spec("CG", pc).build() == cg.build(pc)
 
-    def test_build_path_env_switch(self, monkeypatch):
-        from repro.npb.suite import BUILD_PATH_ENV, build_workload
-
-        via_spec = build_workload("MG", "B")
-        monkeypatch.setenv(BUILD_PATH_ENV, "legacy")
-        assert build_workload("MG", "B") == via_spec
-
     def test_metadata_mirrors_benchmark_info(self):
         from repro.npb.suite import benchmark_info
 

@@ -132,9 +132,8 @@ def _env(faults: Optional[str]) -> Dict[str, str]:
     )
     # The soak controls fault/supervision state explicitly; nothing may
     # leak in from the caller's shell.
-    for var in ("REPRO_FAULTS", "REPRO_TIMEOUT",
-                "REPRO_EXPERIMENT_TIMEOUT", "REPRO_JOURNAL",
-                "REPRO_VERIFY", "REPRO_BATCH"):
+    for var in ("REPRO_FAULTS", "REPRO_JOURNAL", "REPRO_VERIFY",
+                "REPRO_BATCH"):
         env.pop(var, None)
     if faults:
         env["REPRO_FAULTS"] = faults
