@@ -477,6 +477,7 @@ def _serve_command(args) -> int:
     from repro.serve.runner import MEMORY_TIER_RUNS, JobRunner
     from repro.serve.scheduler import Scheduler
     from repro.sim.parallel import get_default_jobs
+    from repro.supervise.journal import JournalError
 
     port = args.port
     if not 0 <= port <= 65535:
@@ -492,7 +493,7 @@ def _serve_command(args) -> int:
             previous = jobstore.load_jobs_journal(
                 Path(state_dir) / jobstore.JOBS_JOURNAL_NAME
             )
-        except jobstore.JobsJournalError as exc:
+        except JournalError as exc:
             raise CLIError(str(exc)) from None
 
     runcache.get_cache().max_memory_entries = MEMORY_TIER_RUNS

@@ -10,7 +10,8 @@ over an asynchronous, dedup-aware job scheduler:
 * every job runs under the supervision machinery (cooperative
   cancellation, per-job wall-time budgets) and every state transition
   can be journaled to a crash-safe ``jobs.wal.jsonl`` for resumable
-  restarts.
+  restarts, by the same write-ahead journal as ``run-all``
+  (:mod:`repro.supervise.journal`).
 
 See ``docs/SERVING.md`` for the API reference and operations notes.
 """
@@ -28,9 +29,7 @@ from repro.serve.scheduler import DrainReport, Scheduler, SchedulerClosed
 from repro.serve.store import (
     JOBS_JOURNAL_NAME,
     Job,
-    JobJournal,
     JobStore,
-    JobsJournalError,
     JobsJournalState,
     TERMINAL_STATES,
     load_jobs_journal,
@@ -41,12 +40,10 @@ __all__ = [
     "JOBS_JOURNAL_NAME",
     "DrainReport",
     "Job",
-    "JobJournal",
     "JobRunner",
     "JobSpec",
     "JobSpecError",
     "JobStore",
-    "JobsJournalError",
     "JobsJournalState",
     "Scheduler",
     "SchedulerClosed",

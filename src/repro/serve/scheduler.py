@@ -39,6 +39,7 @@ journaling) a loadable ``jobs.wal.jsonl`` behind it.
 from __future__ import annotations
 
 import contextvars
+import os
 import queue
 import threading
 import time
@@ -54,7 +55,7 @@ from repro.core.context import RunContext, current
 from repro.serve import store as jobstore
 from repro.serve.schema import JobSpec, JobSpecError, job_key, parse_job
 from repro.serve.store import Job, JobJournal, JobStore
-from repro.supervise import CancelledRun, DeadlineExceeded
+from repro.supervise import JOURNAL_SCHEMA, CancelledRun, DeadlineExceeded
 
 __all__ = ["DrainReport", "Scheduler", "SchedulerClosed"]
 
@@ -155,7 +156,9 @@ class Scheduler:
         journal = None
         if state_dir is not None:
             journal = JobJournal(
-                Path(state_dir) / jobstore.JOBS_JOURNAL_NAME
+                Path(state_dir) / jobstore.JOBS_JOURNAL_NAME,
+                {"event": "server-started", "schema": JOURNAL_SCHEMA,
+                 "pid": os.getpid()},
             )
         self.store = JobStore(journal=journal)
         self.counters = _Counters()

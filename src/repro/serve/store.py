@@ -1,14 +1,13 @@
-"""Job records, the thread-safe job store, and the serve journal.
+"""Job records, the thread-safe job store, and the serve journal's fold.
 
 The store is the daemon's source of truth for job *state*; results live
 on the executions (and in the content-addressed run cache underneath).
-Every state transition can be journaled to an append-only, fsync'd
-``jobs.wal.jsonl`` in the server's state directory — the same
-write-ahead discipline as ``run-all``'s campaign journal
-(:mod:`repro.supervise.journal`), scoped to jobs: a SIGKILLed server
-leaves a journal from which :func:`load_jobs_journal` reconstructs
-every job's last known state, and the scheduler resubmits the
-non-terminal ones on the next boot.
+Every state transition can be journaled to ``jobs.wal.jsonl`` in the
+server's state directory by the same writer and reader as ``run-all``'s
+campaign journal (:mod:`repro.supervise.journal`, which owns the file
+discipline): a SIGKILLed server leaves a journal from which
+:func:`load_jobs_journal` reconstructs every job's last known state,
+and the scheduler resubmits the non-terminal ones on the next boot.
 
 Memory stays bounded however long the daemon runs: the store keeps at
 most :data:`MAX_TERMINAL_JOBS` terminal jobs (oldest evicted first; a
@@ -19,22 +18,20 @@ included.  The journal still records every event.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
+
+from repro.supervise.journal import Field, Journal, read_journal
 
 __all__ = [
     "JOBS_JOURNAL_NAME",
-    "JOBS_JOURNAL_SCHEMA",
     "Job",
     "JobJournal",
     "JobStore",
-    "JobsJournalError",
     "JobsJournalState",
     "MAX_TERMINAL_JOBS",
     "TERMINAL_STATES",
@@ -48,12 +45,9 @@ DONE = "done"
 FAILED = "failed"
 CANCELLED = "cancelled"
 TERMINAL_STATES = (DONE, FAILED, CANCELLED)
+STATES = (QUEUED, RUNNING) + TERMINAL_STATES
 
 JOBS_JOURNAL_NAME = "jobs.wal.jsonl"
-
-#: Bumped on incompatible record-layout changes; a journal stamped
-#: with a higher schema is refused loudly on recovery.
-JOBS_JOURNAL_SCHEMA = 1
 
 #: Terminal jobs the store retains for ``GET``; older ones are evicted
 #: (their results with them) and answer 404 "expired".
@@ -113,34 +107,10 @@ class Job:
         return out
 
 
-class JobJournal:
-    """Append-only, fsync'd event stream for one server process."""
-
-    def __init__(self, path: Path):
-        self.path = Path(path)
-        self._lock = threading.Lock()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "w", encoding="utf-8")
-        self.append({
-            "event": "server-started",
-            "schema": JOBS_JOURNAL_SCHEMA,
-            "pid": os.getpid(),
-        })
-
-    def append(self, record: Dict[str, Any]) -> None:
-        """Write one record durably (serialized across threads)."""
-        line = json.dumps(record, sort_keys=True)
-        with self._lock:
-            if self._fh.closed:  # post-shutdown stragglers: drop, don't die
-                return
-            self._fh.write(line + "\n")
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-
-    def close(self) -> None:
-        with self._lock:
-            if not self._fh.closed:
-                self._fh.close()
+# Exists only so perfbench can label serve appends apart from campaign
+# ones; it goes away with ROADMAP item 1.
+class JobJournal(Journal):
+    append = Journal.append
 
 
 @dataclass
@@ -161,55 +131,28 @@ class JobsJournalState:
         return [j for j in self.jobs.values() if not j.terminal]
 
 
-class JobsJournalError(ValueError):
-    """The serve journal is unreadable or holds a malformed record."""
+_JOB_ID = Field("job", "job id", str)
+
+#: Field rules of the serve journal's record kinds.
+JOB_FIELDS: Dict[str, Sequence[Field]] = {
+    "submitted": (_JOB_ID, Field("spec", "spec object", dict, False)),
+    "state": (_JOB_ID, Field("state", "lifecycle state", STATES)),
+}
 
 
 def load_jobs_journal(path: Path) -> Optional[JobsJournalState]:
-    """Reconstruct job states from a serve journal (None if absent).
-
-    Crash-tolerant the same way the campaign journal is: a torn final
-    line is ignored.  A corrupt earlier line, a record that is not a
-    well-formed object, or a journal written by a newer schema raises
-    :class:`JobsJournalError` rather than being misread.
-    """
+    """Reconstruct job states from a serve journal (None if absent);
+    :func:`~repro.supervise.journal.read_journal` decides what is
+    readable."""
     path = Path(path)
     if not path.exists():
         return None
-    try:
-        lines = path.read_text(encoding="utf-8", errors="replace").splitlines()
-    except OSError as exc:
-        raise JobsJournalError(
-            f"cannot read serve journal {path}: {exc}"
-        ) from None
+    records, _ = read_journal(path, JOB_FIELDS)
     state = JobsJournalState(jobs={})
-    for index, raw in enumerate(lines):
-        if not raw.strip():
-            continue
-        where = f"serve journal {path} line {index + 1}"
-        try:
-            record = json.loads(raw)
-        except json.JSONDecodeError:
-            if index == len(lines) - 1:
-                break  # the write a crash interrupted: ignorable
-            raise JobsJournalError(
-                f"{where} is corrupt (not valid JSON, and not the final "
-                f"record)"
-            ) from None
-        if not isinstance(record, dict):
-            raise JobsJournalError(f"{where} is not a record object")
+    for record in records:
         event = record.get("event")
         job_id = record.get("job")
-        if event in ("submitted", "state") and not isinstance(job_id, str):
-            raise JobsJournalError(f"{where}: {event} record has no job id")
-        if event == "server-started":
-            schema = record.get("schema", 0)
-            if not isinstance(schema, int) or schema > JOBS_JOURNAL_SCHEMA:
-                raise JobsJournalError(
-                    f"serve journal {path} written by schema {schema!r}; "
-                    f"this package understands {JOBS_JOURNAL_SCHEMA}"
-                )
-        elif event == "submitted":
+        if event == "submitted":
             state.jobs[job_id] = Job(
                 id=job_id, key=record.get("key", ""),
                 spec=record.get("spec", {}),
@@ -218,7 +161,7 @@ def load_jobs_journal(path: Path) -> Optional[JobsJournalState]:
         elif event == "state":
             job = state.jobs.get(job_id)
             if job is not None:
-                job.state = record.get("state", job.state)
+                job.state = record["state"]
                 job.source = record.get("source", job.source)
                 job.error = record.get("error", job.error)
                 job.reason = record.get("reason", job.reason)

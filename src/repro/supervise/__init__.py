@@ -13,9 +13,10 @@ adds the supervision a long-running service needs on top of isolation:
   that SIGINT/SIGTERM (and the run budget) trip; the pipeline drains
   in-flight work, persists partial state, and exits with a valid,
   resumable manifest.
-* **Crash-safe journaling** — an fsync'd write-ahead journal
-  (:mod:`repro.supervise.journal`) so even a SIGKILLed campaign is
-  resumable without a completed manifest.
+* **Crash-safe journaling** — one fsync'd write-ahead journal writer
+  and reader (:mod:`repro.supervise.journal`) for both a campaign's
+  ``manifest.wal.jsonl`` and a server's ``jobs.wal.jsonl``, so even a
+  SIGKILLed campaign or daemon is resumable.
 * **Backoff & circuit breakers** — bounded, deterministic retry for
   the transient failure classes, with structural degradation (memory-
   only cache, serial map) after repeated trips

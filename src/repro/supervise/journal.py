@@ -1,31 +1,26 @@
-"""Crash-safe write-ahead journaling for ``run-all`` campaigns.
+"""Crash-safe write-ahead journaling for ``run-all`` and ``repro serve``.
 
-The pipeline's manifest is written once, at the end of a campaign — so
-a run SIGKILLed mid-wave used to leave nothing machine-readable behind
-and ``--resume`` refused to touch the directory.  The journal closes
-that gap: an append-only, fsync'd record stream
-(``manifest.wal.jsonl`` next to the manifest) written *as the campaign
-progresses*:
+One append-only, fsync'd JSONL writer (:class:`Journal`) and one reader
+(:func:`read_journal`) serve both journal files, so a process SIGKILLed
+mid-run leaves something machine-readable behind:
 
-* ``run-started`` — header: journal schema, package version, pid, the
-  selected experiment ids;
-* ``task-started`` / ``task-finished`` / ``task-failed`` /
-  ``task-skipped`` / ``task-cancelled`` — one per experiment outcome;
-  ``task-finished`` carries the experiment's full manifest row, and is
-  appended only *after* its ``<id>.txt`` / ``<id>.json`` artifacts are
-  durably on disk, so a finished record always has artifacts to match;
-* ``wave-committed`` — a wave's outcomes are all journaled;
-* ``run-finished`` — terminal status (after this the manifest exists
-  and the journal is deleted).
+* ``manifest.wal.jsonl``, next to a campaign's manifest, replayed by
+  :func:`load_journal` for ``run-all --resume``.  Records name their
+  kind in ``type``: the ``run-started`` header (schema, package
+  version, pid, selected ids); per experiment a ``task-started`` and
+  one of ``task-finished`` / ``-failed`` / ``-skipped`` /
+  ``-cancelled`` (``task-finished`` carries the full manifest row and
+  is appended only *after* the artifacts are durably on disk);
+  ``wave-committed``; and ``run-finished``, after which the manifest
+  exists and the journal is deleted.
+* ``jobs.wal.jsonl``, in a server's state directory, replayed by
+  :func:`repro.serve.store.load_jobs_journal`.  Records name their
+  kind in ``event``; ``server-started`` is the header.
 
-Recovery (:func:`load_journal`) is tolerant exactly where a crash can
-tear and loud exactly where guessing would be dangerous: a truncated
-final record (the write the crash interrupted) is ignored; records
-after the first torn line are never trusted; a journal written by a
-*newer* schema raises :class:`JournalSchemaError` instead of being
-misread.  ``load_resume_state`` uses this to resume a killed campaign
-with no completed manifest at all — finished experiments are recovered
-verbatim from their journaled rows + artifacts, in-flight ones re-run.
+The reader ignores a torn final record (the write a crash interrupted)
+and refuses, rather than guesses at, anything else it cannot trust:
+:class:`JournalError` names the bad line, and a journal written by a
+newer schema raises :class:`JournalSchemaError`.
 """
 
 from __future__ import annotations
@@ -33,18 +28,23 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import threading
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import (
+    Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 __all__ = [
     "JOURNAL_ENV",
     "JOURNAL_NAME",
     "JOURNAL_SCHEMA",
+    "Field",
     "Journal",
     "JournalError",
     "JournalSchemaError",
     "JournalState",
     "load_journal",
+    "read_journal",
 ]
 
 #: Journal file name, next to ``manifest.json`` in the output directory.
@@ -61,8 +61,11 @@ JOURNAL_ENV = "REPRO_JOURNAL"
 #: someone else's WAL is how resumes corrupt campaigns.
 JOURNAL_SCHEMA = 1
 
+#: Header record kinds; their ``schema`` is checked on every read.
+HEADER_KINDS = ("run-started", "server-started")
 
-class JournalError(RuntimeError):
+
+class JournalError(ValueError):
     """The journal is unreadable or structurally invalid."""
 
 
@@ -71,16 +74,16 @@ class JournalSchemaError(JournalError):
 
 
 class Journal:
-    """Append-only writer; every record is flushed and fsync'd.
+    """Append-only writer: truncates ``path``, writes ``header``, then
+    flushes and fsyncs every record under a lock (server threads share
+    one journal).  Appends after :meth:`close` are dropped."""
 
-    One campaign, one writer: pool workers return their outcomes to
-    the pipeline process, which is the only appender — no locking or
-    interleaving to reason about.
-    """
-
-    def __init__(self, path: Path):
+    def __init__(self, path: Path, header: Dict[str, Any]):
         self.path = Path(path)
-        self._fh: Optional[Any] = None
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._lock = threading.Lock()
+        self._fh: Optional[Any] = open(self.path, "w", encoding="utf-8")
+        self.append(header)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -98,11 +101,7 @@ class Journal:
         """
         import repro
 
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        journal = cls(out_dir / JOURNAL_NAME)
-        journal._fh = open(journal.path, "w", encoding="utf-8")
-        journal.append({
+        return cls(Path(out_dir) / JOURNAL_NAME, {
             "type": "run-started",
             "schema": JOURNAL_SCHEMA,
             "package_version": repro.__version__,
@@ -110,16 +109,17 @@ class Journal:
             "selected": list(selected or []),
             "jobs": jobs,
         })
-        return journal
 
     # ------------------------------------------------------------------
     def append(self, record: Dict[str, Any]) -> None:
         """Durably append one record (no-op after :meth:`close`)."""
-        if self._fh is None:
-            return
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        line = json.dumps(record, sort_keys=True) + "\n"
+        with self._lock:
+            if self._fh is None:
+                return
+            self._fh.write(line)
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
 
     def task_started(self, exp_id: str, wave: int) -> None:
         self.append({"type": "task-started", "id": exp_id, "wave": wave})
@@ -156,9 +156,10 @@ class Journal:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
     def finalize(self, status: str) -> None:
         """Terminal success path: the manifest is durably written, so
@@ -180,6 +181,84 @@ class Journal:
 
 
 # ----------------------------------------------------------------------
+class Field(NamedTuple):
+    """A field that records of one kind carry: ``accepts`` is its type
+    or its allowed values; an optional field may be absent."""
+
+    name: str
+    label: str
+    accepts: Any
+    required: bool = True
+
+    def holds(self, record: Dict[str, Any]) -> bool:
+        if self.name not in record:
+            return not self.required
+        value = record[self.name]
+        if isinstance(self.accepts, type):
+            return isinstance(value, self.accepts)
+        return value in self.accepts
+
+
+def read_journal(
+    path: Path, fields: Mapping[str, Sequence[Field]]
+) -> Tuple[List[Dict[str, Any]], bool]:
+    """A journal's records, in order, and whether its final line was torn
+    (the write a crash interrupted, which is dropped).  Refuses an
+    unreadable file, a corrupt earlier line, a record that is not an
+    object or breaks its kind's ``fields`` rules, and a newer schema."""
+    path = Path(path)
+    try:
+        lines = path.read_text(encoding="utf-8", errors="replace").splitlines()
+    except OSError as exc:
+        raise JournalError(f"cannot read journal {path}: {exc}") from None
+    records: List[Dict[str, Any]] = []
+    for index, line in enumerate(lines):
+        if not line.strip():
+            continue
+        where = f"journal {path} line {index + 1}"
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            if index == len(lines) - 1:
+                # The write the crash interrupted: expected, ignorable.
+                return records, True
+            raise JournalError(
+                f"{where} is corrupt (not valid JSON, and not the final "
+                f"record)"
+            ) from None
+        if not isinstance(record, dict):
+            raise JournalError(f"{where} is not a record object")
+        kind = record.get("type", record.get("event"))
+        if kind in HEADER_KINDS:
+            schema = record.get("schema")
+            if not isinstance(schema, int) or schema > JOURNAL_SCHEMA:
+                raise JournalSchemaError(
+                    f"journal {path} uses schema {schema!r}, newer than "
+                    f"this package understands (<= {JOURNAL_SCHEMA}); "
+                    f"refusing to read it — upgrade the package"
+                )
+        for field in fields.get(kind, ()) if isinstance(kind, str) else ():
+            if not field.holds(record):
+                raise JournalError(
+                    f"{where}: {kind} record has no {field.label}"
+                )
+        records.append(record)
+    return records, False
+
+
+_TASK_ID = Field("id", "task id", str)
+
+#: Field rules of the campaign journal's record kinds.
+TASK_FIELDS: Dict[str, Sequence[Field]] = {
+    "task-started": (_TASK_ID,),
+    "task-finished": (_TASK_ID, Field("meta", "meta object", dict, False)),
+    "task-failed": (_TASK_ID,),
+    "task-skipped": (_TASK_ID,),
+    "task-cancelled": (_TASK_ID,),
+    "wave-committed": (Field("wave", "wave number", int),),
+}
+
+
 @dataclasses.dataclass
 class JournalState:
     """Everything recoverable from a (possibly torn) journal."""
@@ -212,85 +291,34 @@ class JournalState:
         )
 
 
-#: Record types that name a task and so must carry its ``id``.
-_TASK_RECORDS = (
-    "task-started", "task-finished", "task-failed", "task-skipped",
-    "task-cancelled",
-)
-
-
 def load_journal(path: Path) -> JournalState:
-    """Replay a journal into a :class:`JournalState`.
-
-    Tolerates the tears a crash actually produces — a truncated final
-    line, a file with only the header, an empty file — and refuses the
-    cases where guessing is unsafe: unreadable file, non-JSONL content
-    before the final line, or a newer journal schema.
-    """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8", errors="replace")
-    except OSError as exc:
-        raise JournalError(f"cannot read journal {path}: {exc}") from None
-
-    state = JournalState(path=path)
-    lines = text.splitlines()
+    """Replay a campaign journal into a :class:`JournalState`
+    (:func:`read_journal` decides what is readable)."""
+    records, torn = read_journal(path, TASK_FIELDS)
+    state = JournalState(path=Path(path), torn=torn)
     started: List[str] = []
-    done: set = set()
-    for index, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            if index == len(lines) - 1:
-                # The write the crash interrupted: expected, ignorable.
-                state.torn = True
-                break
-            raise JournalError(
-                f"journal {path} is corrupt at line {index + 1} "
-                f"(not valid JSON, and not the final record)"
-            ) from None
-        if not isinstance(record, dict):
-            raise JournalError(
-                f"journal {path} line {index + 1} is not a record object"
-            )
+    for record in records:
         rtype = record.get("type")
         task_id = record.get("id")
-        if rtype in _TASK_RECORDS and not isinstance(task_id, str):
-            raise JournalError(
-                f"journal {path} line {index + 1}: {rtype} record has no "
-                f"task id"
-            )
         if rtype == "run-started":
-            schema = record.get("schema")
-            if not isinstance(schema, int) or schema > JOURNAL_SCHEMA:
-                raise JournalSchemaError(
-                    f"journal {path} uses schema {schema!r}, newer than "
-                    f"this package understands (<= {JOURNAL_SCHEMA}); "
-                    f"refusing to resume from it — upgrade the package "
-                    f"or start a fresh run"
-                )
             state.header = record
         elif rtype == "task-started":
             started.append(task_id)
         elif rtype == "task-finished":
             state.finished[task_id] = record.get("meta", {})
-            done.add(task_id)
         elif rtype == "task-failed":
             state.failed[task_id] = record.get("failure", {})
-            done.add(task_id)
         elif rtype == "task-skipped":
             state.skipped[task_id] = list(record.get("blocked_by", []))
-            done.add(task_id)
         elif rtype == "task-cancelled":
             state.cancelled[task_id] = record.get("reason", "")
-            done.add(task_id)
         elif rtype == "wave-committed":
             state.committed_waves.append(record["wave"])
         elif rtype == "run-finished":
             state.run_finished = record.get("status")
         # Unknown record types from an *older-or-equal* schema are
         # skipped: additive records must not break old readers.
+    done = {**state.finished, **state.failed, **state.skipped,
+            **state.cancelled}
     state.in_flight = [i for i in started if i not in done]
     return state

@@ -1,9 +1,12 @@
 """Tests for the write-ahead journal: lifecycle, replay, crash tears."""
 
 import json
+import os
 
 import pytest
 
+import repro
+from repro import cli
 from repro.supervise.journal import (
     JOURNAL_NAME,
     JOURNAL_SCHEMA,
@@ -81,6 +84,31 @@ class TestJournalWriter:
             j.task_started("a", wave=0)
         assert j._fh is None
 
+    def test_file_bytes_are_pinned(self, tmp_path):
+        j = Journal.open(tmp_path, selected=["fig2", "fig3"], jobs=2)
+        j.task_started("fig2", wave=0)
+        j.task_finished("fig2", wave=0, meta={"status": "ok", "wave": 0})
+        j.task_failed("fig3", wave=0, failure={"error_type": "ValueError"})
+        j.task_skipped("table2", blocked_by=["fig3"])
+        j.task_cancelled("fig4", reason="signal:SIGINT")
+        j.wave_committed(0)
+        j.close()
+        assert j.path.read_text().splitlines() == [
+            f'{{"jobs": 2, "package_version": "{repro.__version__}", '
+            f'"pid": {os.getpid()}, "schema": 1, '
+            f'"selected": ["fig2", "fig3"], "type": "run-started"}}',
+            '{"id": "fig2", "type": "task-started", "wave": 0}',
+            '{"id": "fig2", "meta": {"status": "ok", "wave": 0}, '
+            '"type": "task-finished", "wave": 0}',
+            '{"failure": {"error_type": "ValueError"}, "id": "fig3", '
+            '"type": "task-failed", "wave": 0}',
+            '{"blocked_by": ["fig3"], "id": "table2", '
+            '"type": "task-skipped"}',
+            '{"id": "fig4", "reason": "signal:SIGINT", '
+            '"type": "task-cancelled"}',
+            '{"type": "wave-committed", "wave": 0}',
+        ]
+
 
 class TestLoadJournalEdgeCases:
     def test_empty_file(self, tmp_path):
@@ -134,6 +162,26 @@ class TestLoadJournalEdgeCases:
         ])
         with pytest.raises(JournalError, match="line 2: .* no task id"):
             load_journal(path)
+
+    @pytest.mark.parametrize("record, fragment", [
+        ({"type": "task-finished", "id": "a", "wave": 0, "meta": "oops"},
+         "task-finished record has no meta object"),
+        ({"type": "wave-committed"}, "wave-committed record has no wave"),
+    ], ids=["non-object-meta", "wave-without-number"])
+    def test_malformed_record_field_is_refused(
+        self, tmp_path, capsys, record, fragment
+    ):
+        path = tmp_path / JOURNAL_NAME
+        write_lines(path, [
+            json.dumps({"type": "run-started", "schema": JOURNAL_SCHEMA}),
+            json.dumps(record),
+        ])
+        with pytest.raises(JournalError, match=f"line 2: {fragment}"):
+            load_journal(path)
+        # `run-all --resume` reports it as a usage error, not a traceback.
+        code = cli.main(["run-all", "--out", str(tmp_path), "--resume"])
+        assert code == 2
+        assert fragment in capsys.readouterr().err
 
     def test_newer_schema_is_refused_loudly(self, tmp_path):
         path = tmp_path / JOURNAL_NAME

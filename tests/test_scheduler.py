@@ -19,6 +19,7 @@ barriers, deliberate failures) so each scenario is deterministic:
   parameter that changes the simulation changes the key (Hypothesis).
 """
 
+import os
 import threading
 import time
 
@@ -494,6 +495,29 @@ def test_clean_shutdown_is_journaled(tmp_path):
     assert state.clean_shutdown
     assert state.drain_cancelled == 0
     assert not state.resumable
+
+
+def test_journal_file_bytes_are_pinned(tmp_path):
+    scheduler = Scheduler(
+        workers=1, runner=CountingRunner(), state_dir=tmp_path
+    )
+    job = _wait_terminal(scheduler, scheduler.submit(dict(RUN_CG)))
+    scheduler.shutdown(timeout_s=5.0)
+    fingerprint = job.spec["machine_fingerprint"]
+    path = tmp_path / jobstore.JOBS_JOURNAL_NAME
+    assert path.read_text().splitlines() == [
+        f'{{"event": "server-started", "pid": {os.getpid()}, "schema": 1}}',
+        f'{{"event": "submitted", "job": "j000001", "key": "{job.key}", '
+        f'"source": "executed", "spec": {{"config": "serial", '
+        f'"kind": "run", "machine": "paxville", "machine_fingerprint": '
+        f'"{fingerprint}", "problem_class": "S", '
+        f'"scheduler": "linux_default", "workload": "CG"}}}}',
+        '{"event": "state", "job": "j000001", "source": "executed", '
+        '"state": "running"}',
+        '{"event": "state", "job": "j000001", "source": "executed", '
+        '"state": "done"}',
+        '{"cancelled": 0, "clean": true, "event": "shutdown"}',
+    ]
 
 
 def test_newer_journal_schema_is_refused(tmp_path):

@@ -23,6 +23,7 @@ import pytest
 
 from repro import supervise
 from repro.serve import store as jobstore
+from repro.supervise.journal import JournalError
 
 
 class BlockingRunner:
@@ -512,7 +513,13 @@ _SUBMITTED = json.dumps({"event": "submitted", "job": "j000001", "key": "k"})
     ([json.dumps({"event": "server-started", "schema": "2"})], "schema '2'"),
     ([json.dumps({"event": "submitted", "key": "k"})], "has no job id"),
     ([_SUBMITTED, "{torn", _SUBMITTED], "line 2 is corrupt"),
-], ids=["non-object", "string-schema", "submitted-without-job", "corrupt-middle"])
+    ([json.dumps({"event": "submitted", "job": "j000001", "key": "k",
+                  "spec": "oops"})], "has no spec object"),
+    ([_SUBMITTED, json.dumps({"event": "state", "job": "j000001",
+                              "state": "bogus"})],
+     "line 2: state record has no lifecycle state"),
+], ids=["non-object", "string-schema", "submitted-without-job", "corrupt-middle",
+        "non-object-spec", "unknown-state"])
 def test_cli_serve_rejects_malformed_journal(
     tmp_path, monkeypatch, capsys, lines, fragment
 ):
@@ -522,7 +529,7 @@ def test_cli_serve_rejects_malformed_journal(
 
     journal = tmp_path / jobstore.JOBS_JOURNAL_NAME
     journal.write_text("".join(line + "\n" for line in lines))
-    with pytest.raises(jobstore.JobsJournalError, match=fragment):
+    with pytest.raises(JournalError, match=fragment):
         jobstore.load_jobs_journal(journal)
     # A journal that slipped through must not start a blocking server.
     monkeypatch.setattr(app, "serve_forever", lambda scheduler, **kw: 0)
