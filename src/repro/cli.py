@@ -70,17 +70,23 @@ def _add_machine_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _resolve(resolve, *args):
+    """Call a registry function; a bad token or spec file is exit 2."""
+    from repro.specfile import UnknownSpecError
+
+    try:
+        return resolve(*args)
+    except (UnknownSpecError, ValueError) as exc:  # SpecError is a ValueError
+        raise CLIError(str(exc)) from None
+
+
 def _resolve_machine_arg(token: Optional[str]):
     """Map a ``--machine`` token to a spec, or a clean CLI error."""
     if token is None:
         return None
-    from repro.machine.registry import UnknownMachineError, resolve_machine
-    from repro.machine.spec import SpecError
+    from repro.machine.registry import resolve_machine
 
-    try:
-        return resolve_machine(token)
-    except (UnknownMachineError, SpecError) as exc:
-        raise CLIError(str(exc)) from None
+    return _resolve(resolve_machine, token)
 
 
 def _add_workload_option(parser: argparse.ArgumentParser) -> None:
@@ -100,17 +106,10 @@ def _resolve_workload_args(
     """Validate ``--workload`` tokens, or a clean CLI error."""
     if not tokens:
         return None
-    from repro.workload.registry import (
-        UnknownWorkloadError,
-        resolve_workload,
-    )
-    from repro.workload.spec import WorkloadSpecError
+    from repro.workload.registry import resolve_workload
 
     for token in tokens:
-        try:
-            resolve_workload(token, problem_class)
-        except (UnknownWorkloadError, WorkloadSpecError) as exc:
-            raise CLIError(str(exc)) from None
+        _resolve(resolve_workload, token, problem_class)
     return list(tokens)
 
 
@@ -329,19 +328,14 @@ def _machine_detail_lines(spec) -> List[str]:
     """The ``machines NAME`` detail view: topology tree + hierarchy."""
     p = spec.params
     topo = p.topo
-    provenance = str(spec.source) if spec.source is not None else "built-in"
-    lines = [f"{spec.name}  {spec.short_fingerprint}  [{provenance}]"]
-    if spec.description:
-        lines.append(f"  {spec.description}")
-    lines.append("")
-    lines.append(
+    lines = [
         f"topology: {topo.sockets} socket(s) x "
         f"{topo.chips_per_socket} chip(s)/socket x "
         f"{topo.cores_per_chip} core(s)/chip x "
         f"{topo.threads_per_core} thread(s)/core "
         f"= {topo.n_contexts} contexts"
         + ("" if topo.numa.tiered else " (UMA)")
-    )
+    ]
     tree = p.build_topology(ht_enabled=True)
     for chip in tree.chips:
         socket = chip.contexts[0].socket
@@ -406,15 +400,10 @@ def _workload_detail_lines(spec) -> List[str]:
     from repro.workload.spec import human_bytes
 
     wl = spec.workload
-    provenance = str(spec.source) if spec.source is not None else "built-in"
-    lines = [f"{spec.name}  {spec.short_fingerprint}  [{provenance}]"]
-    if spec.description:
-        lines.append(f"  {spec.description}")
-    lines.append("")
-    lines.append(
+    lines = [
         f"kind {spec.kind}, class {wl.problem_class}, "
         f"memory-bound score {spec.memory_bound_score:.2f}"
-    )
+    ]
     total = sum(ph.instructions for ph in wl.phases)
     lines.append(
         f"{len(wl.phases)} phase(s), {total:.2e} uops total, "
@@ -439,6 +428,48 @@ def _workload_detail_lines(spec) -> List[str]:
             f"{ph.barriers:>8d} {ph.iterations:>6d}  {mix}"
         )
     return lines
+
+
+def _list_specs(args) -> int:
+    """``machines``/``workloads``: list the registry, or show the spec
+    any lookup token names in detail."""
+    if args.command == "machines":
+        from repro.machine.registry import list_machines, resolve_machine
+
+        listing, resolve = list_machines, resolve_machine
+        detail, width = _machine_detail_lines, 24
+    else:
+        from repro.workload.registry import list_workloads, resolve_workload
+
+        def listing():
+            return list_workloads(args.problem_class)
+
+        def resolve(token):
+            return resolve_workload(token, args.problem_class)
+
+        detail, width = _workload_detail_lines, 14
+    if args.name is not None:
+        spec = _resolve(resolve, args.name)
+        print(f"{spec.name}  {spec.short_fingerprint}  [{_provenance(spec)}]")
+        if spec.description:
+            print(f"  {spec.description}")
+        print()
+        for line in detail(spec):
+            print(line)
+        return 0
+    specs = _resolve(listing)
+    for name in sorted(specs):
+        spec = specs[name]
+        kv = " ".join(f"{k}={v}" for k, v in spec.summary().items())
+        print(
+            f"{name:{width}s} {spec.short_fingerprint}  {kv}  "
+            f"[{_provenance(spec)}]"
+        )
+    return 0
+
+
+def _provenance(spec) -> str:
+    return "built-in" if spec.source is None else str(spec.source)
 
 
 def _split_tokens(values: Optional[List[str]]) -> Optional[List[str]]:
@@ -557,69 +588,8 @@ def _dispatch(argv: Optional[List[str]] = None) -> int:
                   f"{entry.description}  [{tags}]")
         return 0
 
-    if args.command == "machines":
-        from repro.machine.registry import UnknownMachineError, list_machines
-        from repro.machine.spec import SpecError
-
-        try:
-            machines = list_machines()
-        except SpecError as exc:
-            raise CLIError(str(exc)) from None
-        if args.name is not None:
-            if args.name not in machines:
-                raise CLIError(
-                    str(UnknownMachineError(args.name, sorted(machines)))
-                )
-            for line in _machine_detail_lines(machines[args.name]):
-                print(line)
-            return 0
-        for name in sorted(machines):
-            spec = machines[name]
-            s = spec.summary()
-            provenance = (
-                str(spec.source) if spec.source is not None else "built-in"
-            )
-            kv = " ".join(f"{k}={v}" for k, v in s.items())
-            print(
-                f"{name:24s} {spec.short_fingerprint}  {kv}  [{provenance}]"
-            )
-        return 0
-
-    if args.command == "workloads":
-        from repro.workload.registry import (
-            UnknownWorkloadError,
-            list_workloads,
-        )
-        from repro.workload.spec import WorkloadSpecError
-
-        try:
-            specs = list_workloads(args.problem_class)
-        except (WorkloadSpecError, KeyError, ValueError) as exc:
-            raise CLIError(str(exc)) from None
-        if args.name is not None:
-            key = next(
-                (k for k in (args.name, args.name.upper(), args.name.lower())
-                 if k in specs),
-                None,
-            )
-            if key is None:
-                raise CLIError(
-                    str(UnknownWorkloadError(args.name, sorted(specs)))
-                )
-            for line in _workload_detail_lines(specs[key]):
-                print(line)
-            return 0
-        for name in sorted(specs):
-            spec = specs[name]
-            s = spec.summary()
-            provenance = (
-                str(spec.source) if spec.source is not None else "built-in"
-            )
-            kv = " ".join(f"{k}={v}" for k, v in s.items())
-            print(
-                f"{name:14s} {spec.short_fingerprint}  {kv}  [{provenance}]"
-            )
-        return 0
+    if args.command in ("machines", "workloads"):
+        return _list_specs(args)
 
     if args.command == "run":
         machine = _resolve_machine_arg(args.machine)
@@ -825,18 +795,11 @@ def _dispatch(argv: Optional[List[str]] = None) -> int:
         try:
             bench = resolve_benchmark(args.benchmark)
         except UnknownBenchmarkError:
-            from repro.workload.registry import (
-                UnknownWorkloadError,
-                resolve_workload,
-            )
-            from repro.workload.spec import WorkloadSpecError
+            from repro.workload.registry import resolve_workload
 
-            try:
-                bench = resolve_workload(
-                    args.benchmark, args.problem_class
-                ).name
-            except (UnknownWorkloadError, WorkloadSpecError) as exc:
-                raise CLIError(str(exc)) from None
+            bench = _resolve(
+                resolve_workload, args.benchmark, args.problem_class
+            ).name
         s = study.speedup(bench, args.config)
         print(f"{bench} on {args.config} "
               f"(class {args.problem_class.upper()}): {s:.2f}x over serial")

@@ -1,16 +1,15 @@
 """The named machine registry: specs under ``machines/`` plus built-ins.
 
-Resolution order for ``repro run --machine <token>``:
-
-* a token containing a path separator or a ``.json``/``.toml`` suffix is
-  loaded directly as a spec file;
-* otherwise the token names a registered machine — the union of the
-  code-defined built-ins (always available, even in an installed package
-  without the repository checkout) and every spec file found in the
-  machines directory (``REPRO_MACHINES_DIR``, defaulting to
-  ``machines/`` at the repository root).  A spec file whose ``name``
-  matches a built-in shadows it, and the listing reports the file as its
-  provenance.
+A registered machine is a code-defined built-in (always available, even
+in an installed package without the repository checkout) or a spec
+file in the machines directory (``REPRO_MACHINES_DIR``, default
+``machines/`` at the repository root).  A file whose ``name`` matches a
+built-in shadows it, and the listing reports the file as its
+provenance.  ``--machine`` tokens follow the one lookup rule of
+``docs/MACHINES.md`` "Resolving a token"; machine names are
+case-sensitive.  The directory, the cache, the raw file pass and the
+lookup are :class:`repro.specfile.SpecRegistry`; this module holds only
+the built-ins and the build step.
 
 :func:`default_params` is the single place the rest of the codebase gets
 "the platform" from: the registry's default machine (``paxville``),
@@ -19,12 +18,18 @@ memoized per process.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 from repro.machine.params import MachineParams, paxville_params
 from repro.machine.spec import MachineSpec, SpecError, load_spec
+from repro.specfile import (
+    RawSpecs,
+    SpecRegistry,
+    UnknownSpecError,
+    in_file,
+    spec_path,
+)
 
 __all__ = [
     "DEFAULT_MACHINE",
@@ -40,30 +45,17 @@ __all__ = [
 MACHINES_DIR_ENV = "REPRO_MACHINES_DIR"
 DEFAULT_MACHINE = "paxville"
 
-#: Spec file suffixes the registry scans for, in listing order.
-_SPEC_SUFFIXES = (".json", ".toml")
 
-
-class UnknownMachineError(KeyError):
+class UnknownMachineError(UnknownSpecError):
     """An unregistered machine name (the CLI maps this to exit 2)."""
 
-    def __init__(self, name: str, valid: list):
-        import difflib
+    kind = "machine"
 
-        self.machine = name
-        self.valid = list(valid)
-        self.suggestion: Optional[str] = next(
-            iter(difflib.get_close_matches(name, self.valid, n=1)), None
-        )
-        message = (
-            f"unknown machine {name!r}; valid choices: {', '.join(valid)}"
-        )
-        if self.suggestion is not None:
-            message += f" (did you mean {self.suggestion!r}?)"
-        super().__init__(message)
 
-    def __str__(self) -> str:  # KeyError quotes its payload by default
-        return self.args[0]
+#: Machine names are case-sensitive.
+_REGISTRY = SpecRegistry(
+    MACHINES_DIR_ENV, "machines", SpecError, UnknownMachineError
+)
 
 
 _builtin_cache: Optional[Dict[str, MachineSpec]] = None
@@ -87,46 +79,9 @@ def builtin_specs() -> Dict[str, MachineSpec]:
 
 
 def machines_dir() -> Optional[Path]:
-    """The spec-file directory, or ``None`` when absent.
-
-    ``REPRO_MACHINES_DIR`` overrides the default location (``machines/``
-    at the repository root, resolved relative to this package so tests
-    and the CLI agree regardless of the working directory).
-    """
-    env = os.environ.get(MACHINES_DIR_ENV, "").strip()
-    if env:
-        path = Path(env)
-        return path if path.is_dir() else None
-    return _default_machines_dir if _default_machines_dir.is_dir() else None
-
-
-#: ``machines/`` at the repository root; computed once (resolving
-#: ``__file__`` walks the whole path through realpath, too slow for the
-#: per-call registry signature check).
-_default_machines_dir = Path(__file__).resolve().parents[3] / "machines"
-
-
-#: One-generation registry cache.  ``machine_params()`` sits on hot
-#: experiment paths, so a listing must not re-parse five spec files per
-#: call; instead the parsed registry is reused while the directory's
-#: signature — one scandir pass of (name, mtime_ns, size) — is
-#: unchanged, so edits are picked up without restarting the process.
-#: MachineSpec is frozen, making the shared instances safe.
-_registry_cache: Optional[
-    Tuple[Optional[Path], Optional[tuple], Dict[str, MachineSpec]]
-] = None
-
-
-def _dir_signature(directory: Path) -> tuple:
-    entries = []
-    with os.scandir(directory) as it:
-        for entry in it:
-            if entry.name.lower().endswith(_SPEC_SUFFIXES):
-                stat = entry.stat()
-                entries.append(
-                    (entry.name, stat.st_mtime_ns, stat.st_size)
-                )
-    return tuple(sorted(entries))
+    """The spec-file directory (``REPRO_MACHINES_DIR``, default
+    ``machines/`` at the repository root), or ``None`` when absent."""
+    return _REGISTRY.directory()
 
 
 def list_machines() -> Dict[str, MachineSpec]:
@@ -135,32 +90,15 @@ def list_machines() -> Dict[str, MachineSpec]:
     File-backed specs (with ``source`` set to their path) shadow
     same-named built-ins; two *files* claiming one name is an error.
     """
-    global _registry_cache
-    directory = machines_dir()
-    signature = (
-        _dir_signature(directory) if directory is not None else None
-    )
-    if (
-        _registry_cache is not None
-        and _registry_cache[0] == directory
-        and _registry_cache[1] == signature
-    ):
-        return dict(_registry_cache[2])
+    return _REGISTRY.listing(None, _build_listing)
+
+
+def _build_listing(raws: RawSpecs) -> Dict[str, MachineSpec]:
     out = builtin_specs()
-    if directory is not None:
-        seen_files: Dict[str, Path] = {}
-        for suffix in _SPEC_SUFFIXES:
-            for path in sorted(directory.glob(f"*{suffix}")):
-                spec = load_spec(path)
-                if spec.name in seen_files:
-                    raise SpecError(
-                        f"duplicate machine name {spec.name!r}: "
-                        f"{seen_files[spec.name]} and {path}"
-                    )
-                seen_files[spec.name] = path
-                out[spec.name] = spec
-    _registry_cache = (directory, signature, out)
-    return dict(out)
+    for name, (path, data) in raws.items():
+        with in_file(path):
+            out[name] = MachineSpec.from_dict(data, source=path)
+    return out
 
 
 def resolve_machine(
@@ -168,25 +106,16 @@ def resolve_machine(
 ) -> MachineSpec:
     """Resolve a ``--machine`` token to a validated spec.
 
-    Accepts a spec instance (returned as-is), a path to a spec file, or
-    a registered machine name.
+    The token lookup rule (``docs/MACHINES.md``): a spec instance is
+    returned as-is, a path loads that file, anything else is a
+    registered name (case-sensitive) or a full or short fingerprint.
     """
     if isinstance(token, MachineSpec):
         return token
-    if isinstance(token, Path):
-        return load_spec(token)
-    looks_like_path = (
-        os.sep in token
-        or "/" in token
-        or token.lower().endswith(_SPEC_SUFFIXES)
-    )
-    if looks_like_path:
-        return load_spec(Path(token))
-    machines = list_machines()
-    try:
-        return machines[token]
-    except KeyError:
-        raise UnknownMachineError(token, sorted(machines)) from None
+    path = spec_path(token)
+    if path is not None:
+        return load_spec(path)
+    return _REGISTRY.lookup(token, list_machines())
 
 
 _default_params: Optional[MachineParams] = None

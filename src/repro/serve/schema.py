@@ -9,10 +9,11 @@ one of three kinds:
   ...) with an optional workload selection.
 
 :func:`parse_job` validates a raw payload into a normalized
-:class:`JobSpec`: machines resolve through the machine registry (by
-name, spec-file path, or content fingerprint), workloads through the
-NAS suite and the workload registry (name, path, or fingerprint), and
-every resolution lands on the *content* of the thing, not its spelling.
+:class:`JobSpec`: machines resolve through the machine registry,
+workloads through the NAS suite and then the workload registry, both by
+the one token lookup rule (name, spec-file path, or content
+fingerprint; ``docs/MACHINES.md`` "Resolving a token"), and every
+resolution lands on the *content* of the thing, not its spelling.
 :func:`job_key` then hashes the normalized spec into the dedup key the
 scheduler coalesces on — two semantically identical submissions
 (parameter order, ``cg`` vs ``CG``, a machine named vs given as a path
@@ -35,15 +36,11 @@ from typing import Any, Dict, Optional, Tuple
 from repro.core.runcache import study_fingerprint
 from repro.experiments import registry as experiment_registry
 from repro.machine.configurations import CONFIGURATIONS
-from repro.machine.registry import (
-    DEFAULT_MACHINE,
-    UnknownMachineError,
-    list_machines,
-    resolve_machine,
-)
-from repro.machine.spec import MachineSpec, SpecError
+from repro.machine.registry import DEFAULT_MACHINE, resolve_machine
+from repro.machine.spec import MachineSpec
 from repro.npb.common import ProblemClass
 from repro.npb.suite import UnknownBenchmarkError, resolve_benchmark
+from repro.specfile import SpecError, UnknownSpecError
 
 __all__ = [
     "JOB_KINDS",
@@ -110,33 +107,25 @@ class JobSpec:
         return out
 
 
-def _resolve_machine_token(token: Any) -> MachineSpec:
-    """A machine by name, spec-file path, fingerprint, or spec."""
-    if token is None:
-        return resolve_machine(DEFAULT_MACHINE)
-    if isinstance(token, MachineSpec):
-        return token
+def _token(field_name: str, token: Any) -> str:
+    """A submitted name, path or fingerprint, stripped."""
     if isinstance(token, Path):
         token = str(token)
     if not isinstance(token, str) or not token.strip():
-        raise JobSpecError(f"machine: expected a string, got {token!r}")
-    token = token.strip()
+        raise JobSpecError(f"{field_name}: expected a string, got {token!r}")
+    return token.strip()
+
+
+def _resolve_machine_token(token: Any) -> MachineSpec:
+    """A machine by the registry's token lookup rule."""
+    if token is None:
+        token = DEFAULT_MACHINE
+    elif not isinstance(token, MachineSpec):
+        token = _token("machine", token)
     try:
         return resolve_machine(token)
-    except UnknownMachineError:
-        pass  # maybe a fingerprint
-    except SpecError as exc:
+    except (SpecError, UnknownSpecError) as exc:
         raise JobSpecError(f"machine: {exc}") from None
-    matches = [
-        spec for spec in list_machines().values()
-        if token in (spec.fingerprint, spec.short_fingerprint)
-    ]
-    if len(matches) == 1:
-        return matches[0]
-    raise JobSpecError(
-        f"machine: unknown name, path or fingerprint {token!r}; "
-        f"registered: {', '.join(sorted(list_machines()))}"
-    )
 
 
 def _resolve_workload_token(token: Any, problem_class: str) -> str:
@@ -149,40 +138,17 @@ def _resolve_workload_token(token: Any, problem_class: str) -> str:
     spec's fingerprint, and a path to an equivalent spec file all
     collapse to one key.
     """
-    if isinstance(token, Path):
-        token = str(token)
-    if not isinstance(token, str) or not token.strip():
-        raise JobSpecError(f"workload: expected a string, got {token!r}")
-    token = token.strip()
+    token = _token("workload", token)
     try:
         return resolve_benchmark(token)
     except UnknownBenchmarkError:
         pass
-    from repro.workload.registry import (
-        UnknownWorkloadError,
-        list_workloads,
-        resolve_workload,
-    )
-    from repro.workload.spec import WorkloadSpecError
+    from repro.workload.registry import resolve_workload
 
     try:
         spec = resolve_workload(token, problem_class)
-    except UnknownWorkloadError:
-        spec = None
-    except WorkloadSpecError as exc:
+    except (SpecError, UnknownSpecError) as exc:
         raise JobSpecError(f"workload: {exc}") from None
-    if spec is None:
-        matches = [
-            s for s in list_workloads(problem_class).values()
-            if token in (s.fingerprint, s.short_fingerprint)
-        ]
-        if len(matches) != 1:
-            raise JobSpecError(
-                f"workload: unknown name, path or fingerprint {token!r}; "
-                f"registered: "
-                f"{', '.join(sorted(list_workloads(problem_class)))}"
-            ) from None
-        spec = matches[0]
     try:
         return resolve_benchmark(spec.name)
     except UnknownBenchmarkError:

@@ -1,32 +1,36 @@
 """The named workload registry: specs under ``workloads/`` plus built-ins.
 
-Resolution order for ``repro run --workload <token>`` (mirroring the
-machine registry):
-
-* a token containing a path separator or a ``.json``/``.toml`` suffix is
-  loaded directly as a spec file;
-* otherwise the token names a registered workload — the union of the
-  code-defined producers (the eight NAS benchmarks plus the
-  :mod:`repro.workload.families` kernels, always available) and every
-  spec file found in the workloads directory (``REPRO_WORKLOADS_DIR``,
-  defaulting to ``workloads/`` at the repository root).  A spec file
-  whose ``name`` matches a built-in shadows it, and the listing reports
-  the file as its provenance.
+A registered workload is one of the code-defined producers (the eight
+NAS benchmarks plus the :mod:`repro.workload.families` kernels, always
+available) or a spec file in the workloads directory
+(``REPRO_WORKLOADS_DIR``, default ``workloads/`` at the repository
+root).  A file whose ``name`` matches a built-in shadows it, and the
+listing reports the file as its provenance.  ``--workload`` tokens
+follow the one lookup rule of ``docs/MACHINES.md`` "Resolving a token";
+workload names are case-insensitive (``cg`` finds ``CG``).
 
 Registrations are *problem-class parameterized*: built-ins are produced
 at the requested class, and file specs (which pin their own class) are
 listed unchanged.  A file spec may inherit from any registered name via
 ``base`` — including a built-in producer, which is resolved at the
-listing's class.
+listing's class.  This module holds only those two workload-specific
+steps; the directory, the cache, the raw file pass and the lookup are
+:class:`repro.specfile.SpecRegistry`.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Union
 
 from repro.npb.common import ProblemClass
+from repro.specfile import (
+    RawSpecs,
+    SpecRegistry,
+    UnknownSpecError,
+    in_file,
+    spec_path,
+)
 from repro.trace.phase import Workload
 from repro.workload.spec import (
     WorkloadSpec,
@@ -46,30 +50,17 @@ __all__ = [
 
 WORKLOADS_DIR_ENV = "REPRO_WORKLOADS_DIR"
 
-#: Spec file suffixes the registry scans for, in listing order.
-_SPEC_SUFFIXES = (".json", ".toml")
 
-
-class UnknownWorkloadError(KeyError):
+class UnknownWorkloadError(UnknownSpecError):
     """An unregistered workload name (the CLI maps this to exit 2)."""
 
-    def __init__(self, name: str, valid: list):
-        import difflib
+    kind = "workload"
 
-        self.workload = name
-        self.valid = list(valid)
-        self.suggestion: Optional[str] = next(
-            iter(difflib.get_close_matches(name, self.valid, n=1)), None
-        )
-        message = (
-            f"unknown workload {name!r}; valid choices: {', '.join(valid)}"
-        )
-        if self.suggestion is not None:
-            message += f" (did you mean {self.suggestion!r}?)"
-        super().__init__(message)
 
-    def __str__(self) -> str:  # KeyError quotes its payload by default
-        return self.args[0]
+_REGISTRY = SpecRegistry(
+    WORKLOADS_DIR_ENV, "workloads", WorkloadSpecError, UnknownWorkloadError,
+    fold_case=True,
+)
 
 
 def builtin_producers() -> Dict[str, Callable[[ProblemClass], WorkloadSpec]]:
@@ -101,46 +92,9 @@ class _NasProducer:
 
 
 def workloads_dir() -> Optional[Path]:
-    """The spec-file directory, or ``None`` when absent.
-
-    ``REPRO_WORKLOADS_DIR`` overrides the default location
-    (``workloads/`` at the repository root, resolved relative to this
-    package so tests and the CLI agree regardless of the working
-    directory).
-    """
-    env = os.environ.get(WORKLOADS_DIR_ENV, "").strip()
-    if env:
-        path = Path(env)
-        return path if path.is_dir() else None
-    return _default_workloads_dir if _default_workloads_dir.is_dir() else None
-
-
-#: ``workloads/`` at the repository root; computed once (resolving
-#: ``__file__`` is too slow for the per-call signature check).
-_default_workloads_dir = Path(__file__).resolve().parents[3] / "workloads"
-
-
-#: One-generation registry cache per problem class.  Studies resolve
-#: workloads on hot paths, so a listing must not re-parse spec files per
-#: call; the parsed registry is reused while the directory's signature —
-#: one scandir pass of (name, mtime_ns, size) — is unchanged, so edits
-#: are picked up without restarting the process.  WorkloadSpec is
-#: frozen, making the shared instances safe.
-_registry_cache: Dict[
-    str, Tuple[Optional[Path], Optional[tuple], Dict[str, WorkloadSpec]]
-] = {}
-
-
-def _dir_signature(directory: Path) -> tuple:
-    entries = []
-    with os.scandir(directory) as it:
-        for entry in it:
-            if entry.name.lower().endswith(_SPEC_SUFFIXES):
-                stat = entry.stat()
-                entries.append(
-                    (entry.name, stat.st_mtime_ns, stat.st_size)
-                )
-    return tuple(sorted(entries))
+    """The spec-file directory (``REPRO_WORKLOADS_DIR``, default
+    ``workloads/`` at the repository root), or ``None`` when absent."""
+    return _REGISTRY.directory()
 
 
 def _resolve_class(
@@ -160,102 +114,48 @@ def list_workloads(
     same-named built-ins; two *files* claiming one name is an error.
     """
     pc = _resolve_class(problem_class)
-    directory = workloads_dir()
-    signature = _dir_signature(directory) if directory is not None else None
-    cached = _registry_cache.get(pc.value)
-    if (
-        cached is not None
-        and cached[0] == directory
-        and cached[1] == signature
-    ):
-        return dict(cached[2])
+    return _REGISTRY.listing(pc, lambda raws: _build_listing(raws, pc))
 
+
+def _build_listing(raws: RawSpecs, pc: ProblemClass) -> Dict[str, WorkloadSpec]:
+    """Built-ins at ``pc``, then every file; ``base`` may name any of them."""
     out = {
         name: producer(pc)
         for name, producer in builtin_producers().items()
     }
-    if directory is not None:
-        # Two passes: parse every file's raw tree first so ``base`` can
-        # reference any registered name regardless of file order.
-        raws: Dict[str, Tuple[Path, dict]] = {}
-        for suffix in _SPEC_SUFFIXES:
-            for path in sorted(directory.glob(f"*{suffix}")):
-                data = _read_raw(path)
-                name = data.get("name")
-                if not isinstance(name, str) or not name:
-                    raise WorkloadSpecError(
-                        f"{path}: name: expected a non-empty string, "
-                        f"got {name!r}"
-                    )
-                if name in raws:
-                    raise WorkloadSpecError(
-                        f"duplicate workload name {name!r}: "
-                        f"{raws[name][0]} and {path}"
-                    )
-                raws[name] = (path, data)
+    built: Dict[str, WorkloadSpec] = {}
+    building: list = []
 
-        built: Dict[str, WorkloadSpec] = {}
-        building: list = []
-
-        def resolve(name: str) -> WorkloadSpec:
-            if name in built:
-                return built[name]
-            if name in raws:
-                if name in building:
-                    cycle = " -> ".join(building + [name])
-                    raise WorkloadSpecError(
-                        f"base inheritance cycle: {cycle}", ("base",)
-                    )
-                path, data = raws[name]
-                building.append(name)
-                try:
+    def resolve(name: str) -> WorkloadSpec:
+        if name in built:
+            return built[name]
+        if name in raws:
+            if name in building:
+                cycle = " -> ".join(building + [name])
+                raise WorkloadSpecError(
+                    f"base inheritance cycle: {cycle}", ("base",)
+                )
+            path, data = raws[name]
+            building.append(name)
+            try:
+                with in_file(path, WorkloadSpecError):
                     built[name] = WorkloadSpec.from_dict(
                         data, source=path, resolve=resolve
                     )
-                except WorkloadSpecError as exc:
-                    raise WorkloadSpecError(f"{path}: {exc}") from None
-                finally:
-                    building.pop()
-                return built[name]
-            if name in out:
-                return out[name]
-            raise WorkloadSpecError(
-                f"unknown base workload {name!r} "
-                f"(registered: {sorted(set(out) | set(raws))})",
-                ("base",),
-            )
+            finally:
+                building.pop()
+            return built[name]
+        if name in out:
+            return out[name]
+        raise WorkloadSpecError(
+            f"unknown base workload {name!r} "
+            f"(registered: {sorted(set(out) | set(raws))})",
+            ("base",),
+        )
 
-        for name in raws:
-            out[name] = resolve(name)
-
-    _registry_cache[pc.value] = (directory, signature, out)
-    return dict(out)
-
-
-def _read_raw(path: Path) -> dict:
-    """Parse a spec file to its raw tree without validating it."""
-    import json
-
-    suffix = path.suffix.lower()
-    try:
-        if suffix == ".json":
-            data = json.loads(path.read_text(encoding="utf-8"))
-        else:
-            try:
-                import tomllib
-            except ImportError:
-                raise WorkloadSpecError(
-                    f"cannot read {path}: TOML specs need Python >= 3.11 "
-                    f"(tomllib); use the JSON form instead"
-                ) from None
-            data = tomllib.loads(path.read_text(encoding="utf-8"))
-    except WorkloadSpecError:
-        raise
-    except (OSError, ValueError) as exc:
-        raise WorkloadSpecError(f"cannot read {path}: {exc}") from None
-    if not isinstance(data, dict):
-        raise WorkloadSpecError(f"{path}: expected a table, got {data!r}")
-    return data
+    for name in raws:
+        out[name] = resolve(name)
+    return out
 
 
 def resolve_workload(
@@ -264,31 +164,21 @@ def resolve_workload(
 ) -> WorkloadSpec:
     """Resolve a ``--workload`` token to a validated spec.
 
-    Accepts a spec instance (returned as-is), a path to a spec file, or
-    a registered workload name (case-insensitive for the NAS names, so
-    ``cg`` works like it always has).
+    The token lookup rule (``docs/MACHINES.md``): a spec instance is
+    returned as-is, a path loads that file (its ``base`` resolves at
+    ``problem_class``), anything else is a registered name
+    (case-insensitive where unambiguous, so ``cg`` finds ``CG``) or a
+    full or short fingerprint.
     """
     if isinstance(token, WorkloadSpec):
         return token
     pc = _resolve_class(problem_class)
-    if isinstance(token, Path):
+    path = spec_path(token)
+    if path is not None:
         return load_workload_spec(
-            token, resolve=lambda name: resolve_workload(name, pc)
+            path, resolve=lambda name: resolve_workload(name, pc)
         )
-    looks_like_path = (
-        os.sep in token
-        or "/" in token
-        or token.lower().endswith(_SPEC_SUFFIXES)
-    )
-    if looks_like_path:
-        return load_workload_spec(
-            Path(token), resolve=lambda name: resolve_workload(name, pc)
-        )
-    workloads = list_workloads(pc)
-    for candidate in (token, token.upper(), token.lower()):
-        if candidate in workloads:
-            return workloads[candidate]
-    raise UnknownWorkloadError(token, sorted(workloads))
+    return _REGISTRY.lookup(token, list_workloads(pc))
 
 
 def build_workload(

@@ -25,6 +25,9 @@ flattened at load time — :meth:`WorkloadSpec.to_dict` always emits the
 complete, self-contained form, so fingerprints never depend on how a
 workload was spelled.
 
+This module holds only the workload schema.  Reading the file, the
+:class:`~repro.specfile.SpecError` base, leaf type checks, fingerprints
+and ``save`` are shared with the machine layer in :mod:`repro.specfile`.
 Spec files live under ``workloads/`` at the repository root (see
 :mod:`repro.workload.registry`); ``docs/WORKLOADS.md`` documents the
 schema and the ~30-line recipe for adding a workload.
@@ -33,12 +36,19 @@ schema and the ~30-line recipe for adding a workload.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.specfile import (
+    CanonicalTree,
+    SpecError,
+    check_leaf,
+    check_table,
+    in_file,
+    read_spec_file,
+)
 from repro.trace.patterns import (
     AccessMix,
     AccessPattern,
@@ -68,15 +78,6 @@ _PATTERN_KINDS: Dict[str, type] = {
 }
 _KIND_OF_PATTERN = {cls: kind for kind, cls in _PATTERN_KINDS.items()}
 
-#: Leaf annotations the schema knows how to check (the dataclasses use
-#: ``from __future__ import annotations``, so field types are strings).
-_LEAF_TYPES: Dict[str, type] = {
-    "int": int,
-    "float": float,
-    "bool": bool,
-    "str": str,
-}
-
 #: Spec spelling of :attr:`Phase.parallel` (the OpenMP construct).
 _OPENMP_VALUES = ("parallel", "serial")
 
@@ -92,50 +93,13 @@ _TOP_LEVEL_KEYS = (
 _WORKLOAD_KEYS = ("name", "problem_class", "scale", "phases")
 
 
-class WorkloadSpecError(ValueError):
-    """A workload spec failed to load or validate.
-
-    Carries the dotted path of the offending field so CLI error lines
-    point at the exact key (``workload.phases[2].access_mix[0].kind``).
-    """
-
-    def __init__(self, message: str, path: Sequence[str] = ()):
-        self.path = tuple(path)
-        prefix = ".".join(self.path)
-        super().__init__(f"{prefix}: {message}" if prefix else message)
+class WorkloadSpecError(SpecError):
+    """A workload spec failed to load or validate."""
 
 
-def _check_leaf(value: Any, annotation: type, path: Sequence[str]) -> Any:
-    """Validate a leaf value against its dataclass field type.
-
-    Integer-valued floats are coerced to ``float`` (JSON and TOML both
-    allow ``8`` where a model parameter is ``8.0``); the conversion is
-    exact for every value the schema can hold, so the canonical form —
-    and therefore the fingerprint — does not depend on the spelling.
-    """
-    if annotation is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise WorkloadSpecError(f"expected a number, got {value!r}", path)
-        return float(value)
-    if annotation is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise WorkloadSpecError(f"expected an integer, got {value!r}", path)
-        return value
-    if annotation is bool:
-        if not isinstance(value, bool):
-            raise WorkloadSpecError(f"expected a boolean, got {value!r}", path)
-        return value
-    if annotation is str:
-        if not isinstance(value, str):
-            raise WorkloadSpecError(f"expected a string, got {value!r}", path)
-        return value
-    raise WorkloadSpecError(f"unsupported field type {annotation!r}", path)
-
-
-def _require_table(value: Any, path: Sequence[str]) -> Mapping[str, Any]:
-    if not isinstance(value, Mapping):
-        raise WorkloadSpecError(f"expected a table, got {value!r}", path)
-    return value
+#: The shared leaf and table checkers, raising this layer's error.
+_leaf = functools.partial(check_leaf, error=WorkloadSpecError)
+_table = functools.partial(check_table, error=WorkloadSpecError)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +122,7 @@ def _pattern_to_dict(weight: float, pattern: AccessPattern) -> Dict[str, Any]:
 def _pattern_from_dict(
     entry: Any, path: Sequence[str]
 ) -> Tuple[float, AccessPattern]:
-    table = _require_table(entry, path)
+    table = _table(entry, path)
     kind = table.get("kind")
     if kind not in _PATTERN_KINDS:
         raise WorkloadSpecError(
@@ -168,7 +132,7 @@ def _pattern_from_dict(
         )
     if "weight" not in table:
         raise WorkloadSpecError("missing required field", tuple(path) + ("weight",))
-    weight = _check_leaf(table["weight"], float, tuple(path) + ("weight",))
+    weight = _leaf(table["weight"], float, tuple(path) + ("weight",))
     cls = _PATTERN_KINDS[kind]
     fields = {f.name: f for f in dataclasses.fields(cls)}
     kwargs: Dict[str, Any] = {}
@@ -181,10 +145,7 @@ def _pattern_from_dict(
                 f"(valid: {sorted(fields)})",
                 tuple(path) + (key,),
             )
-        kwargs[key] = _check_leaf(
-            value, _LEAF_TYPES.get(fields[key].type, object),
-            tuple(path) + (key,),
-        )
+        kwargs[key] = _leaf(value, fields[key].type, tuple(path) + (key,))
     if "footprint_bytes" not in kwargs:
         raise WorkloadSpecError(
             "missing required field", tuple(path) + ("footprint_bytes",)
@@ -237,7 +198,7 @@ def _phase_from_dict(
     overridden (derived specs); without it, omitted optional fields take
     the :class:`Phase` defaults.
     """
-    table = _require_table(data, path)
+    table = _table(data, path)
     merged: Dict[str, Any] = dict(base or {})
     merged.update(table)
     kwargs: Dict[str, Any] = {}
@@ -272,10 +233,8 @@ def _phase_from_dict(
                 tuple(path) + ("parallel",),
             )
         elif key in _PHASE_FIELDS:
-            kwargs[key] = _check_leaf(
-                value,
-                _LEAF_TYPES.get(_PHASE_FIELDS[key].type, object),
-                tuple(path) + (key,),
+            kwargs[key] = _leaf(
+                value, _PHASE_FIELDS[key].type, tuple(path) + (key,)
             )
         else:
             valid = sorted(
@@ -301,7 +260,7 @@ def _phase_from_dict(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(CanonicalTree):
     """A named, validated, fingerprintable workload description.
 
     ``workload`` is the fully built :class:`~repro.trace.phase.Workload`;
@@ -332,13 +291,7 @@ class WorkloadSpec:
         provides it); a spec using ``base`` outside a registry context is
         an error, so standalone trees stay self-contained.
         """
-        table = _require_table(data, ())
-        unknown = sorted(set(table) - set(_TOP_LEVEL_KEYS))
-        if unknown:
-            raise WorkloadSpecError(
-                f"unknown top-level keys {unknown} "
-                f"(valid: {sorted(_TOP_LEVEL_KEYS)})"
-            )
+        table = _table(data, (), _TOP_LEVEL_KEYS, what="top-level keys")
         schema = table.get("schema")
         if schema != WORKLOAD_SCHEMA_VERSION:
             raise WorkloadSpecError(
@@ -354,7 +307,7 @@ class WorkloadSpec:
 
         base_spec: Optional[WorkloadSpec] = None
         if "base" in table:
-            base_name = _check_leaf(table["base"], str, ("base",))
+            base_name = _leaf(table["base"], str, ("base",))
             if resolve is None:
                 raise WorkloadSpecError(
                     "base inheritance needs a registry context "
@@ -363,7 +316,7 @@ class WorkloadSpec:
                 )
             base_spec = resolve(base_name)
 
-        description = _check_leaf(
+        description = _leaf(
             table.get(
                 "description",
                 base_spec.description if base_spec else "",
@@ -371,14 +324,14 @@ class WorkloadSpec:
             str,
             ("description",),
         )
-        kind = _check_leaf(
+        kind = _leaf(
             table.get("kind", base_spec.kind if base_spec else "kernel"),
             str,
             ("kind",),
         )
         if not kind:
             raise WorkloadSpecError("expected a non-empty string", ("kind",))
-        score = _check_leaf(
+        score = _leaf(
             table.get(
                 "memory_bound_score",
                 base_spec.memory_bound_score if base_spec else 0.5,
@@ -412,7 +365,7 @@ class WorkloadSpec:
 
     @staticmethod
     def _build_root_workload(spec_name: str, wtree: Any) -> Workload:
-        table = _require_table(wtree, ("workload",))
+        table = _table(wtree, ("workload",))
         unknown = sorted(set(table) - {"name", "problem_class", "phases"})
         if unknown:
             raise WorkloadSpecError(
@@ -420,8 +373,8 @@ class WorkloadSpec:
                 f"'problem_class']; 'scale' needs a base)",
                 ("workload",),
             )
-        wname = _check_leaf(table.get("name", spec_name), str, ("workload", "name"))
-        pclass = _check_leaf(
+        wname = _leaf(table.get("name", spec_name), str, ("workload", "name"))
+        pclass = _leaf(
             table.get("problem_class", "B"), str, ("workload", "problem_class")
         )
         phases_node = table.get("phases")
@@ -446,23 +399,20 @@ class WorkloadSpec:
         spec_name: str, wtree: Any, base_spec: "WorkloadSpec"
     ) -> Workload:
         """Sparse inheritance: start from the base's canonical form."""
-        table = _require_table(wtree, ("workload",)) if wtree is not None else {}
-        unknown = sorted(set(table) - set(_WORKLOAD_KEYS))
-        if unknown:
-            raise WorkloadSpecError(
-                f"unknown keys {unknown} (valid: {sorted(_WORKLOAD_KEYS)})",
-                ("workload",),
-            )
+        table = _table(
+            {} if wtree is None else wtree, ("workload",), _WORKLOAD_KEYS,
+            what="keys",
+        )
         base_tree = base_spec.to_dict()["workload"]
-        wname = _check_leaf(
+        wname = _leaf(
             table.get("name", spec_name), str, ("workload", "name")
         )
-        pclass = _check_leaf(
+        pclass = _leaf(
             table.get("problem_class", base_tree["problem_class"]),
             str,
             ("workload", "problem_class"),
         )
-        scale = _check_leaf(
+        scale = _leaf(
             table.get("scale", 1.0), float, ("workload", "scale")
         )
         if scale <= 0:
@@ -471,7 +421,7 @@ class WorkloadSpec:
             )
 
         overrides = table.get("phases", {})
-        overrides = _require_table(overrides, ("workload", "phases"))
+        overrides = _table(overrides, ("workload", "phases"))
         base_phases = {p["name"]: p for p in base_tree["phases"]}
         unknown_phases = sorted(set(overrides) - set(base_phases))
         if unknown_phases:
@@ -546,30 +496,9 @@ class WorkloadSpec:
             },
         }
 
-    @property
-    def fingerprint(self) -> str:
-        """sha256 over the canonical JSON form (spelling-independent)."""
-        canon = json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-    @property
-    def short_fingerprint(self) -> str:
-        return self.fingerprint[:12]
-
     def build(self) -> Workload:
         """The engine-facing workload (already built and validated)."""
         return self.workload
-
-    def save(self, path: Union[str, Path]) -> Path:
-        """Write the canonical JSON form (pretty-printed, sorted keys)."""
-        path = Path(path)
-        path.write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        return path
 
     # ------------------------------------------------------------------
     def summary(self) -> Dict[str, str]:
@@ -600,30 +529,6 @@ def load_workload_spec(
 ) -> WorkloadSpec:
     """Load and validate a spec file (``.json`` or ``.toml``)."""
     path = Path(path)
-    suffix = path.suffix.lower()
-    if suffix == ".json":
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise WorkloadSpecError(f"cannot read {path}: {exc}") from None
-    elif suffix == ".toml":
-        try:
-            import tomllib
-        except ImportError:
-            raise WorkloadSpecError(
-                f"cannot read {path}: TOML specs need Python >= 3.11 "
-                f"(tomllib); use the JSON form instead"
-            ) from None
-        try:
-            data = tomllib.loads(path.read_text(encoding="utf-8"))
-        except (OSError, tomllib.TOMLDecodeError) as exc:
-            raise WorkloadSpecError(f"cannot read {path}: {exc}") from None
-    else:
-        raise WorkloadSpecError(
-            f"unsupported spec suffix {path.suffix!r} "
-            f"(expected .json or .toml)"
-        )
-    try:
+    data = read_spec_file(path, WorkloadSpecError)
+    with in_file(path, WorkloadSpecError):
         return WorkloadSpec.from_dict(data, source=path, resolve=resolve)
-    except WorkloadSpecError as exc:
-        raise WorkloadSpecError(f"{path}: {exc}") from None

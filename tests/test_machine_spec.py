@@ -261,10 +261,6 @@ class TestRegistry:
         assert "vaporware" in message and "paxville" in message
         assert DEFAULT_MACHINE in exc_info.value.valid
 
-    def test_path_token_loads_file(self, tmp_path):
-        path = paxville_spec().save(tmp_path / "pax.json")
-        assert resolve_machine(str(path)).to_params() == paxville_params()
-
     def test_spec_instance_passes_through(self):
         spec = paxville_spec()
         assert resolve_machine(spec) is spec
@@ -276,16 +272,6 @@ class TestRegistry:
         monkeypatch.setenv("REPRO_MACHINES_DIR", str(tmp_path))
         machines = list_machines()
         assert set(machines) == {DEFAULT_MACHINE, "slowmem"}
-
-    def test_duplicate_file_names_rejected(self, tmp_path, monkeypatch):
-        spec = paxville_spec().override(
-            SpecOverride.scaled("memory_latency_ns", 2.0), name="dup"
-        )
-        spec.save(tmp_path / "a.json")
-        spec.save(tmp_path / "b.json")
-        monkeypatch.setenv("REPRO_MACHINES_DIR", str(tmp_path))
-        with pytest.raises(SpecError, match="duplicate machine name"):
-            list_machines()
 
 
 class TestContentionParams:

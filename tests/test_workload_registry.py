@@ -1,10 +1,11 @@
 """Tests for the named workload registry (repro.workload.registry).
 
-Mirrors the machine-registry suite: listing contents, case-insensitive
-resolution, did-you-mean suggestions, ``REPRO_WORKLOADS_DIR`` overrides
-(shadowing, duplicate rejection, edit invalidation), inheritance across
-files and built-ins, and the Study integration (content-addressed
-run-cache tokens, stale-fingerprint detection).
+Listing contents, case-insensitive resolution, did-you-mean
+suggestions, ``REPRO_WORKLOADS_DIR`` listings, inheritance across files
+and built-ins, and the Study integration (content-addressed run-cache
+tokens, stale-fingerprint detection).  The rules both registries share
+(shadowing, duplicate rejection, edit invalidation, path and
+fingerprint tokens) are in ``test_registry_contract.py``.
 """
 
 import json
@@ -92,11 +93,6 @@ class TestResolution:
         spec = resolve_workload("triad")
         assert resolve_workload(spec) is spec
 
-    def test_path_tokens_load_files(self, tmp_path):
-        path = _write_spec(tmp_path / "custom.json", "custom")
-        assert resolve_workload(path).name == "custom"
-        assert resolve_workload(str(path)).name == "custom"
-
     def test_unknown_name_suggests(self):
         with pytest.raises(UnknownWorkloadError) as info:
             resolve_workload("triadd")
@@ -116,33 +112,6 @@ class TestWorkloadsDir:
         specs = list_workloads("B")
         assert "custom" in specs
         assert specs["custom"].source == tmp_path / "custom.json"
-
-    def test_file_shadows_builtin(self, tmp_path, monkeypatch):
-        _write_spec(tmp_path / "triad.json", "triad")
-        monkeypatch.setenv("REPRO_WORKLOADS_DIR", str(tmp_path))
-        spec = resolve_workload("triad")
-        assert spec.source == tmp_path / "triad.json"
-
-    def test_duplicate_names_across_files_rejected(self, tmp_path, monkeypatch):
-        _write_spec(tmp_path / "a.json", "dup")
-        _write_spec(tmp_path / "b.json", "dup")
-        monkeypatch.setenv("REPRO_WORKLOADS_DIR", str(tmp_path))
-        with pytest.raises(WorkloadSpecError, match="duplicate workload name"):
-            list_workloads("B")
-
-    def test_edits_invalidate_the_cache(self, tmp_path, monkeypatch):
-        path = _write_spec(tmp_path / "custom.json", "custom")
-        monkeypatch.setenv("REPRO_WORKLOADS_DIR", str(tmp_path))
-        before = resolve_workload("custom").fingerprint
-        tree = json.loads(path.read_text())
-        tree["workload"]["phases"][0]["instructions"] = 2e9
-        path.write_text(json.dumps(tree))
-        # Force a visible mtime change even on coarse filesystems.
-        import os
-        stat = path.stat()
-        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000))
-        after = resolve_workload("custom").fingerprint
-        assert after != before
 
     def test_file_can_inherit_from_builtin(self, tmp_path, monkeypatch):
         _write_spec(

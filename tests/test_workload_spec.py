@@ -136,7 +136,7 @@ class TestRoundTrips:
     def test_unsupported_suffix(self, tmp_path):
         path = tmp_path / "spec.yaml"
         path.write_text("nope")
-        with pytest.raises(WorkloadSpecError, match="unsupported spec suffix"):
+        with pytest.raises(WorkloadSpecError, match="unsupported spec format"):
             load_workload_spec(path)
 
     def test_bad_json_names_file(self, tmp_path):
