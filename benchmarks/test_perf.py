@@ -103,6 +103,20 @@ def test_analytic_run_three_level(benchmark):
     benchmark(run)
 
 
+def test_analytic_run_pair_uncached(benchmark):
+    # The multiprogram scalar path: two 4-thread teams on all eight
+    # contexts of ht_on_8_2, so every step resolves two programs that
+    # share cores, chips and the bus.
+    study = Study("B")
+
+    def run():
+        return study.engine("ht_on_8_2").run_pair(
+            study.workload("CG"), study.workload("FT")
+        )
+
+    benchmark(run)
+
+
 def test_spec_resolve_and_materialize(benchmark):
     # Registry lookup + schema validation + params materialization —
     # the per-invocation overhead `--machine <name>` adds to the CLI.

@@ -48,6 +48,12 @@ class Event(enum.Enum):
     L4_ACCESS = "l4_access"
     L4_MISS = "l4_miss"
 
+    # Members are singletons (pickling restores them by name), so the
+    # default identity hash is consistent with ``==`` and, unlike
+    # ``Enum.__hash__``, costs no Python-level call on every counter
+    # dict operation.
+    __hash__ = object.__hash__
+
     @property
     def is_ratio_numerator(self) -> bool:
         """True for events that form the numerator of a paper metric."""

@@ -2,10 +2,11 @@
 
 The batched resolver (:mod:`repro.sim.batch`) runs one damped fixed
 point over a ``[n_machines, n_classes]`` batch instead of resolving each
-machine's contention serially.  Its vectorized kernels need every
-machine-level scalar the fixed point reads — clock, L2 geometry, DRAM
-latency, and the full front-side-bus parameter set — as ``float64``
-arrays indexed by *lane* (the machine axis).  :func:`pack_machines`
+machine's contention serially.  Its outer CPI damping needs every
+machine-level scalar it reads — clock, last-level-cache geometry and
+DRAM latency — as ``float64`` arrays indexed by *lane* (the machine
+axis); the bus kernel runs per lane on each lane's own
+:class:`~repro.mem.bus.BusModel`.  :func:`pack_machines`
 builds that layout once per batch; each array holds one field across all
 lanes, in lane order, so a kernel touches ``n_machines`` contiguous
 values instead of chasing ``n_machines`` parameter objects.
@@ -34,8 +35,7 @@ class PackedMachines:
 
     Field names mirror their scalar sources: ``clock_hz`` and the memory
     path come from :class:`~repro.machine.params.CoreParams` /
-    :class:`~repro.machine.params.CacheParams`, the ``bus_*`` block from
-    :class:`~repro.machine.params.BusParams`.
+    :class:`~repro.machine.params.CacheParams`.
     """
 
     n_lanes: int
@@ -45,15 +45,6 @@ class PackedMachines:
     llc_line_bytes: np.ndarray
     llc_latency_cycles: np.ndarray
     memory_latency_cycles: np.ndarray
-    bus_chip_read_bw: np.ndarray
-    bus_chip_write_bw: np.ndarray
-    bus_system_read_bw: np.ndarray
-    bus_system_write_bw: np.ndarray
-    bus_transaction_bytes: np.ndarray
-    bus_prefetch_headroom: np.ndarray
-    bus_prefetch_max_coverage: np.ndarray
-    bus_snoop_per_agent: np.ndarray
-    bus_snoop_cross_chip: np.ndarray
 
 
 def pack_machines(params: Sequence[MachineParams]) -> PackedMachines:
@@ -70,13 +61,4 @@ def pack_machines(params: Sequence[MachineParams]) -> PackedMachines:
         llc_line_bytes=col(lambda p: p.llc.line_bytes),
         llc_latency_cycles=col(lambda p: p.llc.latency_cycles),
         memory_latency_cycles=col(lambda p: p.memory_latency_cycles),
-        bus_chip_read_bw=col(lambda p: p.bus.chip_read_bw),
-        bus_chip_write_bw=col(lambda p: p.bus.chip_write_bw),
-        bus_system_read_bw=col(lambda p: p.bus.system_read_bw),
-        bus_system_write_bw=col(lambda p: p.bus.system_write_bw),
-        bus_transaction_bytes=col(lambda p: p.bus.transaction_bytes),
-        bus_prefetch_headroom=col(lambda p: p.bus.prefetch_headroom),
-        bus_prefetch_max_coverage=col(lambda p: p.bus.prefetch_max_coverage),
-        bus_snoop_per_agent=col(lambda p: p.bus.snoop_overhead_per_agent),
-        bus_snoop_cross_chip=col(lambda p: p.bus.snoop_overhead_cross_chip),
     )

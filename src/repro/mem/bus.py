@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.machine.packing import PackedMachines
 from repro.machine.params import BusParams
 
 
@@ -82,24 +81,44 @@ _QUEUE_COEFF = 0.45
 _QUEUE_CAP = 2.5
 
 
+#: ``(latency_multiplier, prefetch_coverage, utilization)`` per class.
+LiteResult = Tuple[List[float], List[float], List[float]]
+
+
+@dataclass(frozen=True)
+class BusClasses:
+    """Iteration-invariant inputs of :meth:`BusModel.resolve_lite` for
+    one step (built by :meth:`BusModel.prepare`).
+
+    Contexts are collapsed into contention-equivalence *classes*: every
+    member of a class offers identical traffic.  Chips keep their
+    per-context member order, so the chip-port sums fold in exactly the
+    sequence a one-class-per-context solve would.
+    """
+
+    #: Per chip, in sorted-chip order: the class index of each context
+    #: on that chip, in context order.
+    chip_members: Tuple[Tuple[int, ...], ...]
+    #: Chip index each class reads its port utilization from (members of
+    #: one class may span chips, but only chips with identical member
+    #: sequences, which carry equal utilizations).
+    class_chip: Tuple[int, ...]
+    read_frac: Tuple[float, ...]
+    #: Prefetcher coverage ceiling per class
+    #: (``prefetch_max_coverage * prefetchability``).
+    max_cov: Tuple[float, ...]
+    #: NUMA achievable-bandwidth fraction per class (1.0 on UMA).
+    bw_scale: Tuple[float, ...]
+    snoop_chip: Tuple[float, ...]
+    snoop_sys: float
+
+
 class BusModel:
     """Resolves FSB/memory-controller contention for a set of loads."""
 
     def __init__(self, params: BusParams, n_chips_total: int = 2):
         self.params = params
         self.n_chips_total = n_chips_total
-
-    def _capacity(self, read_fraction: float, scope: str) -> float:
-        """Harmonic-mean capacity for a read/write mix at chip or system
-        scope."""
-        p = self.params
-        if scope == "chip":
-            read_bw, write_bw = p.chip_read_bw, p.chip_write_bw
-        else:
-            read_bw, write_bw = p.system_read_bw, p.system_write_bw
-        wf = 1.0 - read_fraction
-        denom = read_fraction / read_bw + wf / write_bw
-        return 1.0 / denom if denom > 0 else read_bw
 
     def resolve(
         self,
@@ -110,160 +129,222 @@ class BusModel:
 
         The prefetcher and the queueing delay interact: prefetch traffic
         raises utilization, and coverage shrinks as headroom vanishes.  A
-        short damped fixed-point iteration resolves both.
-        """
-        return self.build_outcomes(
-            loads, self.resolve_lite(loads, initial_coverage)
-        )
-
-    def build_outcomes(
-        self,
-        loads: Sequence[BusLoad],
-        lite: Dict[str, Tuple[float, float, float]],
-    ) -> Dict[str, BusOutcome]:
-        """Materialize :class:`BusOutcome` objects from a
-        :meth:`resolve_lite` result for the same ``loads``."""
-        outcomes: Dict[str, BusOutcome] = {}
-        tx = self.params.transaction_bytes
-        waste_factor = 1.0 + PREFETCH_WASTE
-        for l in loads:
-            mult, cov, util = lite[l.key]
-            miss_tps = l.demand_bytes_per_sec / tx
-            outcomes[l.key] = BusOutcome(
-                key=l.key,
-                latency_multiplier=mult,
-                prefetch_coverage=cov,
-                demand_tps=miss_tps * (1.0 - cov),
-                prefetch_tps=cov * miss_tps * waste_factor,
-                utilization=util,
-            )
-        return outcomes
-
-    def resolve_lite(
-        self,
-        loads: Sequence[BusLoad],
-        initial_coverage: Optional[Dict[str, float]] = None,
-    ) -> Dict[str, Tuple[float, float, float]]:
-        """Converged ``(latency_multiplier, prefetch_coverage,
-        utilization)`` per key, without building outcome objects.
-
-        This is the innermost loop of the engine's CPI/bus fixed point —
-        called every outer iteration, with full outcomes materialized
-        (:meth:`build_outcomes`) only after convergence — so the
-        iteration state lives in flat lists with every parameter hoisted
-        to a local.
-
-        Args:
-            loads: per-context offered traffic.
-            initial_coverage: warm-start coverage per key (the engine
-                passes the previous outer iteration's converged values,
-                which collapses the inner loop to a couple of steps).
+        short damped fixed-point iteration resolves both.  Each load is
+        its own class of the :meth:`resolve_lite` kernel.
         """
         if not loads:
             return {}
-        p = self.params
         chips = sorted({l.chip for l in loads})
-        chip_index = {c: i for i, c in enumerate(chips)}
-        n_chips = len(chips)
-        # Snoop traffic from every agent with misses in flight consumes
-        # address-bus capacity; cross-chip snoops are reflected through
-        # the memory controller and cost more.
-        agents_on: Dict[int, int] = {}
-        for l in loads:
-            if l.demand_bytes_per_sec > 0:
-                agents_on[l.chip] = agents_on.get(l.chip, 0) + 1
+        demand = [l.demand_bytes_per_sec for l in loads]
+        classes = self.prepare(
+            tuple(
+                tuple(i for i, l in enumerate(loads) if l.chip == c)
+                for c in chips
+            ),
+            tuple(chips.index(l.chip) for l in loads),
+            demand,
+            [l.read_fraction for l in loads],
+            [l.prefetchability for l in loads],
+            [l.numa_bandwidth_scale for l in loads],
+        )
+        warm = initial_coverage or {}
+        cov = [warm.get(l.key, 0.0) for l in loads]
+        return self.build_outcomes(
+            [l.key for l in loads],
+            range(len(loads)),
+            demand,
+            self.resolve_lite(classes, demand, cov),
+        )
+
+    def prepare(
+        self,
+        chip_members: Tuple[Tuple[int, ...], ...],
+        class_chip: Tuple[int, ...],
+        demand: Sequence[float],
+        read_frac: Sequence[float],
+        prefetchability: Sequence[float],
+        bw_scale: Sequence[float],
+    ) -> BusClasses:
+        """The iteration-invariant half of :meth:`resolve_lite`.
+
+        Snoop traffic from every agent with misses in flight consumes
+        address-bus capacity; cross-chip snoops are reflected through the
+        memory controller and cost more.  The census reads only demand
+        *signs*, which cannot change across the engine's outer fixed
+        point (demand is a sum of non-negative terms times a positive
+        rate), so one census from the first iteration's ``demand`` serves
+        every later call.
+        """
+        p = self.params
+        agents = [
+            sum(1 for k in members if demand[k] > 0)
+            for members in chip_members
+        ]
         snoop_chip = []
-        for c in chips:
-            local = max(agents_on.get(c, 0) - 1, 0)
-            remote = sum(v for ch, v in agents_on.items() if ch != c)
+        for c, on in enumerate(agents):
+            local = max(on - 1, 0)
+            remote = sum(v for ch, v in enumerate(agents) if ch != c)
             snoop_chip.append(
                 1.0
                 + p.snoop_overhead_per_agent * local
                 + p.snoop_overhead_cross_chip * remote
             )
-        snoop_sys = sum(snoop_chip) / len(snoop_chip) if snoop_chip else 1.0
+        snoop_sys = 0.0
+        for s in snoop_chip:
+            snoop_sys += s
+        return BusClasses(
+            chip_members=chip_members,
+            class_chip=class_chip,
+            read_frac=tuple(read_frac),
+            max_cov=tuple(
+                p.prefetch_max_coverage * pf for pf in prefetchability
+            ),
+            bw_scale=tuple(bw_scale),
+            snoop_chip=tuple(snoop_chip),
+            snoop_sys=snoop_sys / len(snoop_chip) if snoop_chip else 1.0,
+        )
 
+    def build_outcomes(
+        self,
+        keys: Sequence[str],
+        class_of: Sequence[int],
+        demand: Sequence[float],
+        lite: LiteResult,
+    ) -> Dict[str, BusOutcome]:
+        """Materialize one :class:`BusOutcome` per key from a
+        :meth:`resolve_lite` result; ``class_of[i]`` is the class of
+        ``keys[i]`` and ``demand`` the per-class demand of that call."""
+        mult, cov, util = lite
+        tx = self.params.transaction_bytes
+        waste_factor = 1.0 + PREFETCH_WASTE
+        per_class = []
+        for k, d in enumerate(demand):
+            miss_tps = d / tx
+            c = cov[k]
+            per_class.append((
+                mult[k],
+                c,
+                miss_tps * (1.0 - c),
+                c * miss_tps * waste_factor,
+                util[k],
+            ))
+        return {
+            key: BusOutcome(key, *per_class[k])
+            for key, k in zip(keys, class_of)
+        }
+
+    def resolve_lite(
+        self,
+        classes: BusClasses,
+        demand: Sequence[float],
+        cov: Sequence[float],
+    ) -> LiteResult:
+        """Converged ``(latency_multiplier, prefetch_coverage,
+        utilization)`` lists, one entry per contention-equivalence class.
+
+        This is the innermost loop of the engine's CPI/bus fixed point —
+        called every outer iteration, with full outcomes materialized
+        (:meth:`build_outcomes`) only after convergence — so the
+        iteration state lives in flat lists of Python floats.  Chip-port
+        sums fold member by member in context order (``k`` additions,
+        never ``k * x``), so a class collapse is bit-identical to running
+        every context as its own class.
+
+        Args:
+            classes: the step's :meth:`prepare` result.
+            demand: offered bytes/s per class at the current execution
+                rate estimate.
+            cov: warm-start coverage per class (the engine passes the
+                previous outer iteration's converged values, which
+                collapses the inner loop to a couple of steps).  Not
+                mutated.
+        """
+        p = self.params
         chip_read_bw, chip_write_bw = p.chip_read_bw, p.chip_write_bw
         sys_read_bw, sys_write_bw = p.system_read_bw, p.system_write_bw
         headroom_cap = p.prefetch_headroom
         waste_factor = 1.0 + PREFETCH_WASTE
-
-        n = len(loads)
+        chip_members = classes.chip_members
+        class_chip = classes.class_chip
+        snoop_chip = classes.snoop_chip
+        snoop_sys = classes.snoop_sys
+        rfrac = classes.read_frac
+        max_cov = classes.max_cov
+        n_chips = len(chip_members)
         # Remote-tier traffic occupies the port for longer per byte:
         # scale demand by the inverse achievable bandwidth fraction
         # (``x / 1.0`` is exact, so UMA loads are untouched).
-        demand = [
-            l.demand_bytes_per_sec / l.numa_bandwidth_scale for l in loads
-        ]
-        rfrac = [l.read_fraction for l in loads]
-        lchip = [chip_index[l.chip] for l in loads]
-        max_cov = [p.prefetch_max_coverage * l.prefetchability for l in loads]
-        if initial_coverage is not None:
-            cov_arr = [initial_coverage.get(l.key, 0.0) for l in loads]
-        else:
-            cov_arr = [0.0] * n
+        demand = [d / s for d, s in zip(demand, classes.bw_scale)]
+        cov = list(cov)
+        n = len(demand)
         utils_c = [0.0] * n_chips
 
         for _ in range(24):
-            chip_offered = [0.0] * n_chips
-            chip_read = [0.0] * n_chips
-            for i in range(n):
-                # Covered misses move from demand to prefetch transactions
-                # (same line transfer) plus wasted speculative fetches.
-                cov = cov_arr[i]
-                offered = demand[i] * ((1.0 - cov) + cov * waste_factor)
-                ci = lchip[i]
-                chip_offered[ci] += offered
-                chip_read[ci] += offered * rfrac[i]
+            # Covered misses move from demand to prefetch transactions
+            # (same line transfer) plus wasted speculative fetches.
+            offered = [
+                d * ((1.0 - c) + c * waste_factor)
+                for d, c in zip(demand, cov)
+            ]
+            total_offered = 0.0
+            read_total = 0.0
+            for ci in range(n_chips):
+                co = 0.0
+                cr = 0.0
+                for k in chip_members[ci]:
+                    o = offered[k]
+                    co += o
+                    cr += o * rfrac[k]
+                total_offered += co
+                read_total += cr
+                rf = cr / co if co else 0.8
+                wf = 1.0 - rf
+                denom = rf / chip_read_bw + wf / chip_write_bw
+                cap = 1.0 / denom if denom > 0 else chip_read_bw
+                utils_c[ci] = co * snoop_chip[ci] / cap
 
-            total_offered = sum(chip_offered)
             sys_read_frac = (
-                sum(chip_read) / total_offered if total_offered else 0.8
+                read_total / total_offered if total_offered else 0.8
             )
             wf = 1.0 - sys_read_frac
             denom = sys_read_frac / sys_read_bw + wf / sys_write_bw
             sys_cap = 1.0 / denom if denom > 0 else sys_read_bw
             sys_util = total_offered * snoop_sys / sys_cap
             for ci in range(n_chips):
-                co = chip_offered[ci]
-                rf = chip_read[ci] / co if co else 0.8
-                wf = 1.0 - rf
-                denom = rf / chip_read_bw + wf / chip_write_bw
-                cap = 1.0 / denom if denom > 0 else chip_read_bw
-                chip_util = co * snoop_chip[ci] / cap
-                utils_c[ci] = (
-                    chip_util if chip_util >= sys_util else sys_util
-                )
+                if utils_c[ci] < sys_util:
+                    utils_c[ci] = sys_util
 
             delta = 0.0
-            for i in range(n):
-                u = utils_c[lchip[i]]
+            for k in range(n):
+                u = utils_c[class_chip[k]]
                 headroom = headroom_cap - u
                 if headroom < 0.0:
                     headroom = 0.0
                 head_factor = headroom / headroom_cap * 2.2
                 if head_factor > 1.0:
                     head_factor = 1.0
-                cov = max_cov[i] * head_factor
+                target = max_cov[k] * head_factor
                 # Damping keeps the loop from oscillating at the knee.
-                new_cov = 0.5 * cov_arr[i] + 0.5 * cov
-                d = new_cov - cov_arr[i]
+                old = cov[k]
+                new_cov = 0.5 * old + 0.5 * target
+                d = new_cov - old
                 if d < 0.0:
                     d = -d
                 if d > delta:
                     delta = d
-                cov_arr[i] = new_cov
+                cov[k] = new_cov
             if delta < 1e-6:
                 break
 
-        out: Dict[str, Tuple[float, float, float]] = {}
-        for i, l in enumerate(loads):
-            util = utils_c[lchip[i]]
-            u = util if util < 0.98 else 0.98
-            mult = 1.0 + _QUEUE_COEFF * u * u / (1.0 - u)
-            mult = min(mult, _QUEUE_CAP)
-            out[l.key] = (mult, cov_arr[i], util)
-        return out
+        mult = []
+        util = []
+        for k in range(n):
+            u_k = utils_c[class_chip[k]]
+            u = u_k if u_k < 0.98 else 0.98
+            m = 1.0 + _QUEUE_COEFF * u * u / (1.0 - u)
+            mult.append(m if m < _QUEUE_CAP else _QUEUE_CAP)
+            util.append(u_k)
+        return mult, cov, util
 
     def streaming_bandwidth(
         self, n_chips_active: int, kind: str = "read"
@@ -285,183 +366,32 @@ class BusModel:
 
 
 # ----------------------------------------------------------------------
-# Machine-axis batched kernel (one lite solve over [n_lanes, n_classes])
+# The same kernel over a batch of machine lanes
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LaneLiteStructure:
-    """Lane-independent context/chip layout for :func:`resolve_lite_lanes`.
-
-    Contexts are collapsed into contention-equivalence *classes* (all
-    members of a class carry identical loads within a lane, for every
-    lane); chips keep their per-context accumulation order so the
-    chip-port sums fold in exactly the scalar sequence.
-    """
-
-    #: Number of contention-equivalence classes (the K axis).
-    n_classes: int
-    #: Per chip, in sorted-chip order: the class index of each context
-    #: on that chip, in global load (context) order.
-    chip_members: Tuple[Tuple[int, ...], ...]
-    #: Chip index each class reads its port utilization from (members of
-    #: one class may span chips, but only chips with identical member
-    #: sequences — the classifier guarantees equal utilizations).
-    class_chip: Tuple[int, ...]
-
-
-def compute_snoop_lanes(
-    packed: PackedMachines,
-    struct: LaneLiteStructure,
-    demand: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-lane snoop factors from the active-agent census.
-
-    The scalar kernel recomputes the census on every call, but an
-    agent's demand sign cannot change across outer fixed-point
-    iterations (demand is a sum of non-negative terms scaled by a
-    positive rate), so callers hoist this out of the outer loop and
-    reuse the result.
-
-    Returns ``(snoop_chip [L, n_chips], snoop_sys [L])``.
-    """
-    L = demand.shape[0]
-    n_chips = len(struct.chip_members)
-    agents = np.zeros((L, n_chips))
-    for c, members in enumerate(struct.chip_members):
-        col = agents[:, c]
-        for k in members:
-            col = col + (demand[:, k] > 0.0)
-        agents[:, c] = col
-    # Census counts are small integers: float addition of them is exact
-    # in any order, so the aggregate needs no explicit fold.
-    total_agents = agents.sum(axis=1)
-    local = np.maximum(agents - 1.0, 0.0)
-    remote = total_agents[:, None] - agents
-    snoop_chip = (
-        1.0 + packed.bus_snoop_per_agent[:, None] * local
-    ) + packed.bus_snoop_cross_chip[:, None] * remote
-    snoop_sys = np.zeros(L)
-    for c in range(n_chips):
-        snoop_sys = snoop_sys + snoop_chip[:, c]
-    snoop_sys = snoop_sys / n_chips
-    return snoop_chip, snoop_sys
 
 
 def resolve_lite_lanes(
-    packed: PackedMachines,
-    struct: LaneLiteStructure,
+    buses: Sequence[BusModel],
+    classes: Sequence[BusClasses],
     demand: np.ndarray,
-    read_frac: np.ndarray,
-    max_cov: np.ndarray,
+    live: np.ndarray,
+    mult: np.ndarray,
     cov: np.ndarray,
-    lanes: np.ndarray,
-    snoop: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One :meth:`BusModel.resolve_lite` call for every lane at once.
+    util: np.ndarray,
+) -> None:
+    """:meth:`BusModel.resolve_lite` for every live lane of a batch.
 
-    Args:
-        packed: stacked per-lane machine scalars (bus block).
-        struct: shared context/chip layout.
-        demand: ``[L, K]`` offered bytes/s per lane and class.
-        read_frac: ``[L, K]`` read fraction of each class's traffic.
-        max_cov: ``[L, K]`` prefetcher coverage ceiling
-            (``prefetch_max_coverage * prefetchability``).
-        cov: ``[L, K]`` warm-start coverage (the previous outer
-            iteration's converged values; zeros on the first call).
-            Not mutated.
-        lanes: ``[L]`` bool mask of lanes still iterating the outer
-            fixed point; frozen lanes are neither updated nor allowed to
-            prolong the inner loop (callers keep their own frozen
-            copies).
-        snoop: precomputed :func:`compute_snoop_lanes` result (computed
-            from this call's demand when omitted).
-
-    Returns:
-        ``(latency_multiplier, coverage, utilization)``, each ``[L, K]``
-        — bit-identical per lane to the scalar ``resolve_lite`` on that
-        lane's loads with the same warm start.  Values in frozen lanes
-        are garbage; callers must mask on commit.
+    ``demand``, ``mult``, ``cov`` and ``util`` are ``[L, K]`` arrays
+    (lane, class); ``cov`` holds each lane's warm start on entry.  Live
+    lanes (``live[l]``) get their converged values written in place;
+    frozen lanes are left alone, so their rows keep the values of the
+    iteration they converged at.  At the sweep's shape (a few dozen
+    lanes, one or two classes) a Python loop per lane beats NumPy's
+    per-operation overhead.
     """
-    L, K = demand.shape
-    n_chips = len(struct.chip_members)
-    waste_factor = 1.0 + PREFETCH_WASTE
-    zeros = np.zeros(L)
-
-    if snoop is None:
-        snoop = compute_snoop_lanes(packed, struct, demand)
-    snoop_chip, snoop_sys = snoop
-
-    chip_read_bw = packed.bus_chip_read_bw[:, None]
-    chip_write_bw = packed.bus_chip_write_bw[:, None]
-    sys_read_bw = packed.bus_system_read_bw
-    sys_write_bw = packed.bus_system_write_bw
-    headroom_cap = packed.bus_prefetch_headroom[:, None]
-
-    cov = cov.copy()
-    utils_chip = np.zeros((L, n_chips))
-    inner = lanes.copy()
-    class_chip = np.asarray(struct.class_chip, dtype=np.intp)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(24):
-            offered = demand * ((1.0 - cov) + cov * waste_factor)
-            weighted = offered * read_frac
-            chip_offered = np.empty((L, n_chips))
-            chip_read = np.empty((L, n_chips))
-            # Explicit left folds in context order: k identical IEEE
-            # additions are not k * x, and the scalar kernel folds.
-            for c, members in enumerate(struct.chip_members):
-                co = zeros
-                cr = zeros
-                for k in members:
-                    co = co + offered[:, k]
-                    cr = cr + weighted[:, k]
-                chip_offered[:, c] = co
-                chip_read[:, c] = cr
-
-            total_offered = zeros
-            read_total = zeros
-            for c in range(n_chips):
-                total_offered = total_offered + chip_offered[:, c]
-                read_total = read_total + chip_read[:, c]
-            srf = np.full(L, 0.8)
-            np.divide(
-                read_total, total_offered, out=srf,
-                where=total_offered != 0.0,
-            )
-            denom = srf / sys_read_bw + (1.0 - srf) / sys_write_bw
-            sys_cap = sys_read_bw.copy()
-            np.divide(1.0, denom, out=sys_cap, where=denom > 0.0)
-            sys_util = total_offered * snoop_sys / sys_cap
-
-            rf = np.full((L, n_chips), 0.8)
-            np.divide(
-                chip_read, chip_offered, out=rf,
-                where=chip_offered != 0.0,
-            )
-            denom_c = rf / chip_read_bw + (1.0 - rf) / chip_write_bw
-            cap = np.broadcast_to(chip_read_bw, (L, n_chips)).copy()
-            np.divide(1.0, denom_c, out=cap, where=denom_c > 0.0)
-            chip_util = chip_offered * snoop_chip / cap
-            new_util = np.where(
-                chip_util >= sys_util[:, None], chip_util, sys_util[:, None]
-            )
-            # A lane that converged last iteration keeps the
-            # utilizations computed *before* its final coverage nudge —
-            # exactly what the scalar loop's break leaves behind.
-            utils_chip = np.where(inner[:, None], new_util, utils_chip)
-
-            u = utils_chip[:, class_chip]
-            headroom = np.maximum(headroom_cap - u, 0.0)
-            head_factor = np.minimum(headroom / headroom_cap * 2.2, 1.0)
-            new_cov = 0.5 * cov + 0.5 * (max_cov * head_factor)
-            delta = np.max(np.abs(new_cov - cov), axis=1)
-            cov = np.where(inner[:, None], new_cov, cov)
-            inner = inner & (delta >= 1e-6)
-            if not inner.any():
-                break
-
-    util = utils_chip[:, class_chip]
-    u = np.where(util < 0.98, util, 0.98)
-    mult = np.minimum(1.0 + _QUEUE_COEFF * u * u / (1.0 - u), _QUEUE_CAP)
-    return mult, cov, util
+    dem = demand.tolist()
+    warm = cov.tolist()
+    for l in np.flatnonzero(live).tolist():
+        mult[l], cov[l], util[l] = buses[l].resolve_lite(
+            classes[l], dem[l], warm[l]
+        )

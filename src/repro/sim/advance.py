@@ -179,45 +179,66 @@ class TimeAccountant:
         resolved: Dict[str, ResolvedContext],
         collector: Collector,
     ) -> None:
-        """Record counters for executing ``fraction`` of the phase."""
+        """Record counters for executing ``fraction`` of the phase.
+
+        Members of one contention-equivalence class (``class_index``)
+        share every input, so each class's event dict is built once and
+        added to every member's counter set.
+        """
         if fraction <= 0:
             return
         phase = prog.phase
+        program_id = prog.spec.program_id
+        by_class: Dict[int, Dict[Event, float]] = {}
         for r in self.program_contexts(prog, resolved):
             label = r.active.placement.context.label
-            instr = phase.instructions / r.active.n_work * fraction
-            rates = r.rates
-            cov = r.bus.prefetch_coverage if r.bus else 0.0
-            l2_misses = instr * rates.l2_misses_per_instr
-            # Bus transactions are the *last-level* miss stream; on
-            # two-level machines llc_misses_per_instr is the same field,
-            # so this value is bit-identical to l2_misses.
-            llc_misses = instr * rates.llc_misses_per_instr
-            events = {
-                Event.INSTR_RETIRED: instr,
-                Event.CYCLES: instr * r.cpi_eff,
-                Event.STALL_CYCLES: instr * r.stall_per_instr_eff,
-                Event.TC_DELIVER: instr * rates.tc_accesses_per_instr,
-                Event.TC_MISS: instr * rates.tc_misses_per_instr,
-                Event.L1D_ACCESS: instr * rates.l1_accesses_per_instr,
-                Event.L1D_MISS: instr * rates.l1_misses_per_instr,
-                Event.L2_ACCESS: instr * rates.l2_accesses_per_instr,
-                Event.L2_MISS: l2_misses,
-                Event.ITLB_ACCESS: instr * rates.itlb_accesses_per_instr,
-                Event.ITLB_MISS: instr * rates.itlb_misses_per_instr,
-                Event.DTLB_ACCESS: instr * rates.dtlb_accesses_per_instr,
-                Event.DTLB_MISS: instr * rates.dtlb_misses_per_instr,
-                Event.BRANCH_RETIRED: instr * phase.branches_per_instr,
-                Event.BRANCH_MISPRED: instr
-                * phase.branches_per_instr
-                * r.mispredict_rate,
-                Event.BUS_TRANS_DEMAND: llc_misses * (1.0 - cov),
-                Event.BUS_TRANS_PREFETCH: llc_misses * cov * (1.0 + PREFETCH_WASTE),
-                Event.MACHINE_CLEAR: instr * phase.moclears_per_kinstr / 1000.0,
-                Event.COHERENCE_TRANSFER: instr * r.coherence_per_instr,
-            }
-            for i, lvl in enumerate(rates.extra_levels):
-                acc_ev, miss_ev = EXTRA_LEVEL_EVENTS[i]
-                events[acc_ev] = instr * lvl.accesses_per_instr
-                events[miss_ev] = instr * lvl.misses_per_instr
-            collector.add_many(prog.spec.program_id, label, events)
+            k = r.class_index
+            events = by_class.get(k)
+            if events is None:
+                events = self._events(phase, fraction, r)
+                if k is not None:
+                    by_class[k] = events
+            collector.add_many(program_id, label, events)
+
+    @staticmethod
+    def _events(
+        phase: Phase, fraction: float, r: ResolvedContext
+    ) -> Dict[Event, float]:
+        """One context's PMU events for ``fraction`` of ``phase``, in
+        :data:`STEP_EVENTS` order (then any extra-level pairs)."""
+        instr = phase.instructions / r.active.n_work * fraction
+        rates = r.rates
+        cov = r.bus.prefetch_coverage if r.bus else 0.0
+        l2_misses = instr * rates.l2_misses_per_instr
+        # Bus transactions are the *last-level* miss stream; on
+        # two-level machines llc_misses_per_instr is the same field,
+        # so this value is bit-identical to l2_misses.
+        llc_misses = instr * rates.llc_misses_per_instr
+        events = {
+            Event.INSTR_RETIRED: instr,
+            Event.CYCLES: instr * r.cpi_eff,
+            Event.STALL_CYCLES: instr * r.stall_per_instr_eff,
+            Event.TC_DELIVER: instr * rates.tc_accesses_per_instr,
+            Event.TC_MISS: instr * rates.tc_misses_per_instr,
+            Event.L1D_ACCESS: instr * rates.l1_accesses_per_instr,
+            Event.L1D_MISS: instr * rates.l1_misses_per_instr,
+            Event.L2_ACCESS: instr * rates.l2_accesses_per_instr,
+            Event.L2_MISS: l2_misses,
+            Event.ITLB_ACCESS: instr * rates.itlb_accesses_per_instr,
+            Event.ITLB_MISS: instr * rates.itlb_misses_per_instr,
+            Event.DTLB_ACCESS: instr * rates.dtlb_accesses_per_instr,
+            Event.DTLB_MISS: instr * rates.dtlb_misses_per_instr,
+            Event.BRANCH_RETIRED: instr * phase.branches_per_instr,
+            Event.BRANCH_MISPRED: instr
+            * phase.branches_per_instr
+            * r.mispredict_rate,
+            Event.BUS_TRANS_DEMAND: llc_misses * (1.0 - cov),
+            Event.BUS_TRANS_PREFETCH: llc_misses * cov * (1.0 + PREFETCH_WASTE),
+            Event.MACHINE_CLEAR: instr * phase.moclears_per_kinstr / 1000.0,
+            Event.COHERENCE_TRANSFER: instr * r.coherence_per_instr,
+        }
+        for i, lvl in enumerate(rates.extra_levels):
+            acc_ev, miss_ev = EXTRA_LEVEL_EVENTS[i]
+            events[acc_ev] = instr * lvl.accesses_per_instr
+            events[miss_ev] = instr * lvl.misses_per_instr
+        return events

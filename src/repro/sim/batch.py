@@ -6,14 +6,16 @@ scalar path resolves each machine's contention fixed point serially;
 this module makes the machine axis a NumPy array dimension instead:
 
 * :class:`BatchedFixedPointResolver` performs **one** damped fixed-point
-  resolve over a ``[n_machines, n_classes]`` batch — hierarchy rates,
-  branch pollution and SMT terms come from the scalar
+  resolve over a ``[n_machines, n_classes]`` batch — the classes come
+  from the scalar resolver's classifier
+  (:meth:`~repro.sim.resolver.FixedPointResolver.structure`); hierarchy
+  rates, branch pollution and SMT terms come from the scalar
   :meth:`~repro.sim.resolver.FixedPointResolver.prework` (restricted to
-  one representative per contention-equivalence class), while the bus
-  queueing/prefetch inner loop and the outer CPI damping run as
-  vectorized kernels over stacked machine parameters
-  (:func:`~repro.machine.packing.pack_machines`,
-  :func:`~repro.mem.bus.resolve_lite_lanes`).
+  one representative per contention-equivalence class); the outer CPI
+  damping runs as NumPy arrays over stacked machine parameters
+  (:func:`~repro.machine.packing.pack_machines`), and the bus
+  queueing/prefetch inner loop is the scalar kernel run per live lane
+  (:func:`~repro.mem.bus.resolve_lite_lanes`).
 
 * :func:`run_batched_single` drives the engine step loop for all lanes
   in lockstep (single-program runs advance exactly one phase per step)
@@ -62,13 +64,7 @@ from repro.counters.collector import Collector, CounterSet
 from repro.counters.timeline import Timeline, TimelineSample
 from repro.cpu.pipeline import _COVERED_EXPOSURE, CPIBreakdown
 from repro.machine.packing import PackedMachines, pack_machines
-from repro.mem.bus import (
-    PREFETCH_WASTE,
-    BusOutcome,
-    LaneLiteStructure,
-    compute_snoop_lanes,
-    resolve_lite_lanes,
-)
+from repro.mem.bus import PREFETCH_WASTE, resolve_lite_lanes
 from repro.mem.hierarchy import LevelRates
 from repro.openmp.loops import partition_imbalance
 from repro.openmp.sync import barrier_cycles, fork_join_cycles
@@ -81,6 +77,7 @@ from repro.sim.resolver import (
     ActiveContext,
     FixedPointResolver,
     ResolvedContext,
+    _StepStructure,
 )
 from repro.sim.results import PhaseRecord, ProgramResult, RunResult
 from repro.testing import faults
@@ -194,130 +191,6 @@ def note_deduplicated(n: int = 1) -> None:
 
 
 # ----------------------------------------------------------------------
-# Contention-equivalence classes
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _StepStructure:
-    """Lane-independent shape of one step's active set.
-
-    Contexts whose full contention inputs are symmetric collapse into
-    one *class*; the fixed point then runs over ``[n_machines,
-    n_classes]`` instead of ``[n_machines, n_contexts]``.  For the
-    paper's single-program runs every parallel phase collapses to one
-    class (all team members are interchangeable) and serial phases have
-    a single active context.
-    """
-
-    labels: Tuple[str, ...]
-    class_of: Tuple[int, ...]
-    #: Active-list index of each class's representative (first member).
-    reps: Tuple[int, ...]
-    #: Labels whose prework must be computed: class representatives plus
-    #: their HT siblings (sibling terms read the sibling's rates/utils).
-    needed_labels: frozenset
-    lite: LaneLiteStructure
-
-
-def _classify(active: Sequence[ActiveContext]) -> _StepStructure:
-    """Partition ``active`` into contention-equivalence classes.
-
-    Two contexts are equivalent when (a) their own and their HT
-    sibling's phase/team/core/L2-sharing signatures match and (b) their
-    chips carry identical ordered signature sequences — which makes
-    their demand, chip-port utilization and hence their entire
-    fixed-point trajectories identical in *every* lane (the classifier
-    only looks at placement structure and workload identity, never at
-    machine parameters).
-    """
-    labels = tuple(a.placement.context.label for a in active)
-    by_core: Dict[Tuple[int, int], List[int]] = {}
-    by_chip: Dict[int, List[int]] = {}
-    by_socket: Dict[int, List[int]] = {}
-    for i, a in enumerate(active):
-        by_core.setdefault(a.placement.context.core_key, []).append(i)
-        by_chip.setdefault(a.placement.context.chip, []).append(i)
-        by_socket.setdefault(a.placement.context.socket, []).append(i)
-    chips = sorted(by_chip)
-    chip_index = {c: j for j, c in enumerate(chips)}
-
-    base: List[Tuple] = []
-    sib_of: List[Optional[int]] = []
-    for i, a in enumerate(active):
-        mates = by_core[a.placement.context.core_key]
-        sib = next((j for j in mates if labels[j] != labels[i]), None)
-        sib_of.append(sib)
-        chipmates = by_chip[a.placement.context.chip]
-        socketmates = by_socket[a.placement.context.socket]
-        base.append((
-            a.spec.program_id,
-            a.spec.workload.name,
-            a.n_work,
-            len(mates),
-            sib is not None,
-            sib is not None
-            and active[sib].spec.program_id == a.spec.program_id,
-            sib is not None
-            and active[sib].spec.workload.name == a.spec.workload.name,
-            len(chipmates),
-            all(
-                active[j].spec.program_id == a.spec.program_id
-                for j in chipmates
-            ),
-            # Socket-scope sharing signature: on single-chip sockets
-            # (every legacy machine) this duplicates the chip entries,
-            # so legacy class partitions are unchanged.
-            len(socketmates),
-            all(
-                active[j].spec.program_id == a.spec.program_id
-                for j in socketmates
-            ),
-        ))
-    # Pair signature: own + sibling base (sibling terms read both sides);
-    # chip signature: the ordered pair signatures sharing my FSB port.
-    pair = [
-        (base[i], base[sib_of[i]] if sib_of[i] is not None else None)
-        for i in range(len(active))
-    ]
-    chip_sig = {c: tuple(pair[i] for i in by_chip[c]) for c in chips}
-
-    classes: Dict[Tuple, int] = {}
-    class_of: List[int] = []
-    reps: List[int] = []
-    for i, a in enumerate(active):
-        sig = (pair[i], chip_sig[a.placement.context.chip])
-        k = classes.get(sig)
-        if k is None:
-            k = len(reps)
-            classes[sig] = k
-            reps.append(i)
-        class_of.append(k)
-
-    needed: Set[str] = set()
-    for i in reps:
-        needed.add(labels[i])
-        if sib_of[i] is not None:
-            needed.add(labels[sib_of[i]])
-
-    return _StepStructure(
-        labels=labels,
-        class_of=tuple(class_of),
-        reps=tuple(reps),
-        needed_labels=frozenset(needed),
-        lite=LaneLiteStructure(
-            n_classes=len(reps),
-            chip_members=tuple(
-                tuple(class_of[i] for i in by_chip[c]) for c in chips
-            ),
-            class_chip=tuple(
-                chip_index[active[i].placement.context.chip] for i in reps
-            ),
-        ),
-    )
-
-
-# ----------------------------------------------------------------------
 # The batched resolver
 # ----------------------------------------------------------------------
 
@@ -352,10 +225,10 @@ class StepSolution:
 class BatchedFixedPointResolver:
     """One damped fixed point over a ``[n_machines, n_classes]`` batch.
 
-    Wraps one scalar :class:`FixedPointResolver` per lane (for prework
-    and the final breakdown materialization) around the vectorized bus
-    kernel; every lane's numbers are bit-identical to what its scalar
-    resolver would have produced alone.
+    Wraps one scalar :class:`FixedPointResolver` per lane (for prework,
+    its bus kernel and the final breakdown materialization) around a
+    vectorized outer fixed point; every lane's numbers are bit-identical
+    to what its scalar resolver would have produced alone.
     """
 
     def __init__(
@@ -397,10 +270,10 @@ class BatchedFixedPointResolver:
         labels, placements and phase structure); only phase *values* and
         machine parameters may differ.
         """
-        struct = _classify(actives[0])
+        struct = self.resolvers[0].structure(actives[0])
         packed = self.packed
         L = len(actives)
-        K = struct.lite.n_classes
+        K = struct.n_classes
         reps = struct.reps
         rep_labels = [struct.labels[i] for i in reps]
         needed = set(struct.needed_labels)
@@ -434,49 +307,49 @@ class BatchedFixedPointResolver:
             [pw.mig_misses_per_sec for pw in preworks], dtype=np.float64
         )
 
-        rfrac = np.array(
-            [[0.5 + 0.5 * actives[l][i].phase.load_fraction for i in reps]
-             for l in range(L)],
-            dtype=np.float64,
-        )
-        max_cov = packed.bus_prefetch_max_coverage[:, None] * np.array(
-            [[actives[l][i].phase.prefetchability for i in reps]
-             for l in range(L)],
-            dtype=np.float64,
-        )
-
         clock = packed.clock_hz[:, None]
         line = packed.llc_line_bytes[:, None]
         mem_lat_cycles = packed.memory_latency_cycles[:, None]
         llc_lat = packed.llc_latency_cycles[:, None]
+        buses = [r.bus for r in self.resolvers]
 
         # --- the outer damped fixed point, all lanes at once ----------
         # Lanes converge at different iterations; each lane's state is
         # committed through its mask and frozen thereafter, so its final
         # values come from exactly the iteration the scalar loop would
-        # have broken out of.
+        # have broken out of.  The bus kernel writes only live lanes, so
+        # its arrays hold every frozen lane's final state as they stand.
         cov = np.zeros((L, K))
+        mult = np.ones((L, K))
+        util = np.zeros((L, K))
         frozen_demand = np.zeros((L, K))
-        frozen_mult = np.ones((L, K))
-        frozen_util = np.zeros((L, K))
         residual = np.zeros(L)
         outer = np.ones(L, dtype=bool)
 
-        # The snoop census depends only on demand *signs*, which cannot
-        # change across iterations (demand is a sum of non-negative
-        # terms times a positive rate) — compute it once and reuse.
-        snoop = None
+        bus_in = None
         for _ in range(_FIXED_POINT_ITERS):
             rate = clock / cpi_est
             miss_rate_eff = (l2mpi + coh) + mig[:, None] / rate
             demand = miss_rate_eff * rate * line
-            if snoop is None:
-                snoop = compute_snoop_lanes(packed, struct.lite, demand)
-            mult, new_cov, util = resolve_lite_lanes(
-                packed, struct.lite, demand, rfrac, max_cov, cov, outer,
-                snoop=snoop,
+            if bus_in is None:
+                # Per lane, like the scalar resolver: the snoop census
+                # and coverage ceilings from the first demand.
+                first = demand.tolist()
+                bus_in = [
+                    buses[l].prepare(
+                        struct.chip_members,
+                        struct.class_chip,
+                        first[l],
+                        [0.5 + 0.5 * actives[l][i].phase.load_fraction
+                         for i in reps],
+                        [actives[l][i].phase.prefetchability for i in reps],
+                        [preworks[l].bw_scale[lab] for lab in rep_labels],
+                    )
+                    for l in range(L)
+                ]
+            resolve_lite_lanes(
+                buses, bus_in, demand, outer, mult, cov, util
             )
-            cov = np.where(outer[:, None], new_cov, cov)
             mem_lat = mem_lat_cycles * mult
             uncovered = l2mpi * (1.0 - cov)
             covered = l2mpi * cov
@@ -498,8 +371,6 @@ class BatchedFixedPointResolver:
             delta = np.max(np.abs(new_cpi - cpi_est) / cpi_est, axis=1)
 
             frozen_demand = np.where(outer[:, None], demand, frozen_demand)
-            frozen_mult = np.where(outer[:, None], mult, frozen_mult)
-            frozen_util = np.where(outer[:, None], util, frozen_util)
             cpi_est = np.where(outer[:, None], new_cpi, cpi_est)
             residual = np.where(outer, delta, residual)
             outer = outer & (delta >= 1e-4)
@@ -526,7 +397,7 @@ class BatchedFixedPointResolver:
                     a.phase,
                     pw.rates[lab],
                     pw.misp[lab],
-                    bus_latency_multiplier=float(frozen_mult[l, k]),
+                    bus_latency_multiplier=float(mult[l, k]),
                     prefetch_coverage=float(cov[l, k]),
                     ht_enabled=ht,
                     sibling_utilization=pw.sibling_util[lab],
@@ -551,9 +422,9 @@ class BatchedFixedPointResolver:
             struct=struct,
             cpi_eff=cpi_eff,
             stall_eff=stall_eff,
-            mult=frozen_mult,
+            mult=mult,
             cov=cov,
-            util=frozen_util,
+            util=util,
             demand=frozen_demand,
             misp=misp,
             coh=coh,
@@ -572,31 +443,26 @@ class BatchedFixedPointResolver:
         :meth:`resolve_classes` directly."""
         sol = self.resolve_classes(actives)
         struct = sol.struct
-        waste_factor = 1.0 + PREFETCH_WASTE
         out: List[Dict[str, ResolvedContext]] = []
         for l, active in enumerate(actives):
-            tx = float(self.packed.bus_transaction_bytes[l])
+            outcomes = self.resolvers[l].bus.build_outcomes(
+                struct.labels,
+                struct.class_of,
+                sol.demand[l].tolist(),
+                (sol.mult[l].tolist(), sol.cov[l].tolist(),
+                 sol.util[l].tolist()),
+            )
             resolved: Dict[str, ResolvedContext] = {}
-            for i, a in enumerate(active):
-                k = struct.class_of[i]
-                label = struct.labels[i]
-                cov = float(sol.cov[l, k])
-                miss_tps = float(sol.demand[l, k]) / tx
+            for a, label, k in zip(active, struct.labels, struct.class_of):
                 resolved[label] = ResolvedContext(
                     active=a,
                     rates=sol.rates[l][k],
                     mispredict_rate=float(sol.misp[l, k]),
                     cpi=sol.breakdowns[l][k],
-                    bus=BusOutcome(
-                        key=label,
-                        latency_multiplier=float(sol.mult[l, k]),
-                        prefetch_coverage=cov,
-                        demand_tps=miss_tps * (1.0 - cov),
-                        prefetch_tps=cov * miss_tps * waste_factor,
-                        utilization=float(sol.util[l, k]),
-                    ),
+                    bus=outcomes[label],
                     cpi_eff=sol.cpi_eff[l][k],
                     coherence_per_instr=float(sol.coh[l, k]),
+                    class_index=k,
                 )
             out.append(resolved)
         return out
@@ -702,7 +568,7 @@ def run_batched_single(
         sol = bres.resolve_classes(actives)
         struct = sol.struct
         n_ctx = len(struct.labels)
-        K = struct.lite.n_classes
+        K = struct.n_classes
 
         # --- wall time / summaries: python floats, scalar op order ----
         fulls: List[float] = []

@@ -44,7 +44,6 @@ from repro.sim.resolver import (
     ActiveContext,
     ContentionResolver,
     FixedPointResolver,
-    ResolvedContext,
 )
 from repro.sim.results import ProgramResult, RunResult
 from repro.trace.phase import Workload
@@ -336,9 +335,3 @@ class Engine:
     @property
     def bus(self):
         return self.resolver.bus
-
-    def _resolve(
-        self, active: Sequence[ActiveContext]
-    ) -> Dict[str, ResolvedContext]:
-        """Deprecated alias for ``self.resolver.resolve`` (pre-split name)."""
-        return self.resolver.resolve(active)

@@ -11,6 +11,11 @@ engine used to, as a damped fixed point over four coupled effects:
 4. front-side-bus queueing + prefetch coverage (execution rate determines
    bus load determines memory stalls determines execution rate).
 
+It solves each step once per *contention-equivalence class* of active
+contexts (:func:`_classify`; the threads of a homogeneous team are one
+class) and fans the class's state out to its members, bit-identically
+to solving every context on its own.
+
 Alternative resolvers (an uncontended oracle, a learned model, a
 different interconnect) plug into the engine through the same protocol
 without touching the step loop.
@@ -31,7 +36,7 @@ from repro.cpu.pipeline import (
 from repro.machine.configurations import MachineConfig
 from repro.machine.params import MachineParams
 from repro.machine.topology import SystemTopology
-from repro.mem.bus import BusLoad, BusModel, BusOutcome
+from repro.mem.bus import BusModel, BusOutcome
 from repro.mem.coherence import coherence_stall_cycles_per_instr
 from repro.mem.hierarchy import HierarchyModel, LevelRates
 from repro.openmp.env import OMPEnvironment, ScheduleKind
@@ -77,6 +82,10 @@ class ResolvedContext:
     #: the FSB saturates, threads wait for their share of the bus beyond
     #: the per-miss latency the breakdown accounts for.
     cpi_eff: float = 0.0
+    #: Contention-equivalence class of this context within its step
+    #: (members of one class share every value above); ``None`` when the
+    #: resolver does not classify.  Not part of equality.
+    class_index: Optional[int] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.cpi_eff <= 0:
@@ -87,6 +96,149 @@ class ResolvedContext:
         """All non-execution cycles per uop, including bus waiting."""
         exec_cycles = self.cpi.cpi_exec * self.cpi.smt_slowdown
         return max(self.cpi_eff - exec_cycles, 0.0)
+
+
+#: Distinct active-set shapes each resolver remembers the structure of.
+_STRUCTURE_CACHE_SIZE = 512
+
+
+@dataclass(frozen=True)
+class _StepStructure:
+    """Machine-lane-independent shape of one step's active set.
+
+    Contexts whose full contention inputs are symmetric collapse into
+    one *class*, and both engines solve a step once per class instead
+    of once per context: the scalar :class:`FixedPointResolver` over
+    Python floats, the batched resolver over ``[n_machines, n_classes]``
+    arrays.  For the paper's single-program runs every parallel phase
+    collapses to one class (all team members are interchangeable) and
+    serial phases have a single active context.
+    """
+
+    labels: Tuple[str, ...]
+    class_of: Tuple[int, ...]
+    #: Active-list index of each class's representative (first member).
+    reps: Tuple[int, ...]
+    #: Labels whose prework must be computed: class representatives plus
+    #: their HT siblings (sibling terms read the sibling's rates/utils).
+    needed_labels: frozenset
+    #: Per chip, in sorted-chip order: the class of each context on that
+    #: chip, in context order (the bus kernel's chip-port fold order).
+    chip_members: Tuple[Tuple[int, ...], ...]
+    #: Sorted-chip index of each class's representative.
+    class_chip: Tuple[int, ...]
+
+    @property
+    def n_classes(self) -> int:
+        return len(self.reps)
+
+
+def _classify(
+    active: Sequence[ActiveContext], params: MachineParams
+) -> _StepStructure:
+    """Partition ``active`` into contention-equivalence classes.
+
+    Two contexts are equivalent when (a) their own and their HT
+    sibling's phase/team/core/L2-sharing signatures match and (b) their
+    chips carry identical ordered signature sequences — which makes
+    their demand, chip-port utilization and hence their entire
+    fixed-point trajectories identical.  On uniform machines the
+    classifier looks only at placement structure and workload identity,
+    never at machine parameters, so one partition serves every lane of
+    a batch.  Non-uniform machines add each context's socket (the NUMA
+    latency and bandwidth tiers are relative to the program's home
+    socket) and core class (clock and issue width differ per class).
+    """
+    labels = tuple(a.placement.context.label for a in active)
+    by_core: Dict[Tuple[int, int], List[int]] = {}
+    by_chip: Dict[int, List[int]] = {}
+    by_socket: Dict[int, List[int]] = {}
+    for i, a in enumerate(active):
+        by_core.setdefault(a.placement.context.core_key, []).append(i)
+        by_chip.setdefault(a.placement.context.chip, []).append(i)
+        by_socket.setdefault(a.placement.context.socket, []).append(i)
+    chips = sorted(by_chip)
+    chip_index = {c: j for j, c in enumerate(chips)}
+    uniform = params.uniform
+
+    base: List[Tuple] = []
+    sib_of: List[Optional[int]] = []
+    for i, a in enumerate(active):
+        ctx = a.placement.context
+        mates = by_core[ctx.core_key]
+        sib = next((j for j in mates if labels[j] != labels[i]), None)
+        sib_of.append(sib)
+        chipmates = by_chip[ctx.chip]
+        socketmates = by_socket[ctx.socket]
+        sig: Tuple = (
+            a.spec.program_id,
+            a.spec.workload.name,
+            a.n_work,
+            len(mates),
+            sib is not None,
+            sib is not None
+            and active[sib].spec.program_id == a.spec.program_id,
+            sib is not None
+            and active[sib].spec.workload.name == a.spec.workload.name,
+            len(chipmates),
+            all(
+                active[j].spec.program_id == a.spec.program_id
+                for j in chipmates
+            ),
+            # Socket-scope sharing signature: on single-chip sockets
+            # (every legacy machine) this duplicates the chip entries,
+            # so legacy class partitions are unchanged.
+            len(socketmates),
+            all(
+                active[j].spec.program_id == a.spec.program_id
+                for j in socketmates
+            ),
+        )
+        if not uniform:
+            core_class = params.topo.class_of_chip(ctx.chip)
+            sig += (
+                ctx.socket,
+                None if core_class is None else core_class.name,
+            )
+        base.append(sig)
+    # Pair signature: own + sibling base (sibling terms read both sides);
+    # chip signature: the ordered pair signatures sharing my FSB port.
+    pair = [
+        (base[i], base[sib_of[i]] if sib_of[i] is not None else None)
+        for i in range(len(active))
+    ]
+    chip_sig = {c: tuple(pair[i] for i in by_chip[c]) for c in chips}
+
+    classes: Dict[Tuple, int] = {}
+    class_of: List[int] = []
+    reps: List[int] = []
+    for i, a in enumerate(active):
+        sig = (pair[i], chip_sig[a.placement.context.chip])
+        k = classes.get(sig)
+        if k is None:
+            k = len(reps)
+            classes[sig] = k
+            reps.append(i)
+        class_of.append(k)
+
+    needed: Set[str] = set()
+    for i in reps:
+        needed.add(labels[i])
+        if sib_of[i] is not None:
+            needed.add(labels[sib_of[i]])
+
+    return _StepStructure(
+        labels=labels,
+        class_of=tuple(class_of),
+        reps=tuple(reps),
+        needed_labels=frozenset(needed),
+        chip_members=tuple(
+            tuple(class_of[i] for i in by_chip[c]) for c in chips
+        ),
+        class_chip=tuple(
+            chip_index[active[i].placement.context.chip] for i in reps
+        ),
+    )
 
 
 class ContentionResolver(Protocol):
@@ -106,10 +258,11 @@ class Prework:
     sharing terms, coherence traffic, and the bus-independent CPI
     breakdown each context starts from.
 
-    Produced by :meth:`FixedPointResolver.prework`; consumed by the
-    scalar fixed point and — per machine lane — by the batched resolver
-    in :mod:`repro.sim.batch`, which packs these per-label scalars into
-    ``[n_machines, n_classes]`` arrays.
+    Produced by :meth:`FixedPointResolver.prework` for one
+    representative per contention-equivalence class (plus its HT
+    sibling); consumed by the scalar fixed point and — per machine lane
+    — by the batched resolver in :mod:`repro.sim.batch`, which packs
+    these per-label scalars into ``[n_machines, n_classes]`` arrays.
     """
 
     rates: Dict[str, LevelRates] = field(default_factory=dict)
@@ -158,6 +311,8 @@ class FixedPointResolver:
         #: the invariant auditor bounds it to catch silent
         #: non-convergence.  ``None`` until the first resolve.
         self.last_residual: Optional[float] = None
+        #: Step structures by active-set shape (see :meth:`structure`).
+        self._structures: Dict[Tuple, _StepStructure] = {}
         c = params.contention
         self._schedule_locality = {
             ScheduleKind.STATIC: 1.0,
@@ -192,9 +347,10 @@ class FixedPointResolver:
             labels: restrict the per-context computations to these labels
                 (default: all).  The set must be closed under HT
                 siblinghood — a label's sibling terms read the sibling's
-                rates and utilization.  The batched resolver passes one
-                representative per contention-equivalence class (plus
-                siblings) and replicates the values across the class.
+                rates and utilization.  Both resolvers pass
+                :attr:`_StepStructure.needed_labels` (one representative
+                per contention-equivalence class, plus siblings) and
+                replicate the values across each class.
         """
         by_core: Dict[Tuple[int, int], List[ActiveContext]] = {}
         by_chip: Dict[int, List[ActiveContext]] = {}
@@ -467,83 +623,96 @@ class FixedPointResolver:
         return pw
 
     # ------------------------------------------------------------------
+    def structure(self, active: Sequence[ActiveContext]) -> _StepStructure:
+        """The contention-equivalence classes of ``active``.
+
+        A pure function of the active set's shape — each context's
+        label, program, workload and team size — on this resolver's
+        machine, so it is cached by that key.  Threads sharing one
+        engine may at worst compute an entry twice.
+        """
+        key = tuple(
+            (a.placement.context.label, a.spec.program_id,
+             a.spec.workload.name, a.n_work)
+            for a in active
+        )
+        struct = self._structures.get(key)
+        if struct is None:
+            struct = _classify(active, self.params)
+            if len(self._structures) >= _STRUCTURE_CACHE_SIZE:
+                self._structures.clear()
+            self._structures[key] = struct
+        return struct
+
+    # ------------------------------------------------------------------
     def resolve(
         self, active: Sequence[ActiveContext]
     ) -> Dict[str, ResolvedContext]:
-        pw = self.prework(active)
-        rates = pw.rates
-        misp = pw.misp
-        coh_mpi = pw.coh_mpi
+        """Solve the step once per contention-equivalence class and fan
+        the class's state out to its members."""
+        struct = self.structure(active)
+        pw = self.prework(active, labels=struct.needed_labels)
+        reps = [active[i] for i in struct.reps]
+        labels = [struct.labels[i] for i in struct.reps]
+        rates = [pw.rates[lab] for lab in labels]
+        misp = [pw.misp[lab] for lab in labels]
+        coh_mpi = [pw.coh_mpi[lab] for lab in labels]
+        breakdowns = [pw.breakdowns[lab] for lab in labels]
+        cpi_est = [pw.cpi_est[lab] for lab in labels]
+        fast = [pw.fast[lab] for lab in labels]
         mig_misses_per_sec = pw.mig_misses_per_sec
-        breakdowns = pw.breakdowns
-        cpi_est = pw.cpi_est
-        fast = pw.fast
         ht = self.config.ht
+        n = len(reps)
 
         # --- bus/CPI fixed point -----------------------------------------
         line = self.params.llc.line_bytes
-        lite: Dict[str, Tuple[float, float, float]] = {}
-        loads: List[BusLoad] = []
         mem_lat_cycles = self.params.memory_latency_cycles
         llc_lat = self.params.llc.latency_cycles
-        # Per-label hoists: chip-local clock (the same float on
+        # Per-class hoists: chip-local clock (the same float on
         # homogeneous machines) and the NUMA-scaled DRAM latency
         # (``x * 1.0`` is exact, so UMA machines are untouched).
-        clock_of = {
-            a.placement.context.label: self.params.clock_hz_of(
-                a.placement.context.chip
-            )
-            for a in active
-        }
-        mem_lat_of = {
-            label: mem_lat_cycles * pw.mem_scale[label]
-            for label in clock_of
-        }
-        bw_scale = pw.bw_scale
+        clock = [
+            self.params.clock_hz_of(a.placement.context.chip) for a in reps
+        ]
+        mem_lat_of = [mem_lat_cycles * pw.mem_scale[lab] for lab in labels]
+        bus_in = None
+        demand: List[float] = []
+        # Warm start: each bus call starts from the previous outer
+        # iteration's converged coverage.
+        mult, cov, util = [], [0.0] * n, []
 
         max_delta = 0.0
         for _ in range(_FIXED_POINT_ITERS):
-            loads = []
-            for a in active:
-                label = a.placement.context.label
-                rate = clock_of[label] / cpi_est[label]
+            demand = []
+            for k in range(n):
+                rate = clock[k] / cpi_est[k]
                 miss_rate_eff = (
-                    rates[label].llc_misses_per_instr
-                    + coh_mpi[label]
+                    rates[k].llc_misses_per_instr
+                    + coh_mpi[k]
                     + mig_misses_per_sec / rate
                 )
-                demand = miss_rate_eff * rate * line
-                loads.append(
-                    BusLoad(
-                        key=label,
-                        chip=a.placement.context.chip,
-                        demand_bytes_per_sec=demand,
-                        read_fraction=0.5 + 0.5 * a.phase.load_fraction,
-                        prefetchability=a.phase.prefetchability,
-                        numa_bandwidth_scale=bw_scale[label],
-                    )
+                demand.append(miss_rate_eff * rate * line)
+            if bus_in is None:
+                bus_in = self.bus.prepare(
+                    struct.chip_members,
+                    struct.class_chip,
+                    demand,
+                    [0.5 + 0.5 * a.phase.load_fraction for a in reps],
+                    [a.phase.prefetchability for a in reps],
+                    [pw.bw_scale[lab] for lab in labels],
                 )
-            # Warm-start the bus's inner coverage iteration with the
-            # previous outer iteration's converged values.
-            lite = self.bus.resolve_lite(
-                loads,
-                initial_coverage={k: t[1] for k, t in lite.items()}
-                if lite
-                else None,
-            )
+            mult, cov, util = self.bus.resolve_lite(bus_in, demand, cov)
             max_delta = 0.0
-            for a in active:
-                label = a.placement.context.label
-                mult, cov, util = lite[label]
-                exec_term, l2mpi, mlp = fast[label]
-                base = breakdowns[label]
+            for k in range(n):
+                exec_term, l2mpi, mlp = fast[k]
+                base = breakdowns[k]
                 # stall_memory recomputed with the same operation
                 # sequence as PipelineModel.breakdown, then chained into
                 # the stall sum in CPIBreakdown.stall_per_instr's order,
                 # so the fast CPI is bit-identical to base.cpi would be.
-                mem_lat = mem_lat_of[label] * mult
-                uncovered = l2mpi * (1.0 - cov)
-                covered = l2mpi * cov
+                mem_lat = mem_lat_of[k] * mult[k]
+                uncovered = l2mpi * (1.0 - cov[k])
+                covered = l2mpi * cov[k]
                 stall_memory = (
                     uncovered * mem_lat / mlp
                     + covered * llc_lat * _COVERED_EXPOSURE
@@ -563,54 +732,53 @@ class FixedPointResolver:
                 # rate), each thread's time dilates until the bus is
                 # exactly full.  CPI_bw = CPI_est * utilization is the
                 # processor-sharing equilibrium.
-                cpi_bw = cpi_est[label] * util
-                target = max(cpi, cpi_bw) if util > 1.0 else cpi
-                new_cpi = _DAMPING * cpi_est[label] + (1 - _DAMPING) * target
-                max_delta = max(
-                    max_delta, abs(new_cpi - cpi_est[label]) / cpi_est[label]
-                )
-                cpi_est[label] = new_cpi
+                est = cpi_est[k]
+                cpi_bw = est * util[k]
+                target = max(cpi, cpi_bw) if util[k] > 1.0 else cpi
+                new_cpi = _DAMPING * est + (1 - _DAMPING) * target
+                max_delta = max(max_delta, abs(new_cpi - est) / est)
+                cpi_est[k] = new_cpi
             if max_delta < 1e-4:
                 break
         self.last_residual = max_delta
 
-        outcomes = self.bus.build_outcomes(loads, lite)
-        for a in active:
-            label = a.placement.context.label
-            out = outcomes[label]
-            breakdowns[label] = self._pipeline_for(
+        outcomes = self.bus.build_outcomes(
+            struct.labels, struct.class_of, demand, (mult, cov, util)
+        )
+        final: List[CPIBreakdown] = []
+        for k, a in enumerate(reps):
+            lab = labels[k]
+            final.append(self._pipeline_for(
                 a.placement.context.chip
             ).breakdown(
                 a.phase,
-                rates[label],
-                misp[label],
-                bus_latency_multiplier=out.latency_multiplier,
-                prefetch_coverage=out.prefetch_coverage,
+                rates[k],
+                misp[k],
+                bus_latency_multiplier=mult[k],
+                prefetch_coverage=cov[k],
                 ht_enabled=ht,
-                sibling_utilization=pw.sibling_util[label],
-                self_utilization=pw.utils[label],
-                core_sharers=pw.sharers_of[label],
-                smt_capacity=pw.pair_capacity[label],
-                coherence_stall_per_instr=pw.coh_stall[label],
-                sibling_miss_ratio=pw.sibling_missiness[label],
-                memory_latency_scale=pw.mem_scale[label],
-            )
+                sibling_utilization=pw.sibling_util[lab],
+                self_utilization=pw.utils[lab],
+                core_sharers=pw.sharers_of[lab],
+                smt_capacity=pw.pair_capacity[lab],
+                coherence_stall_per_instr=pw.coh_stall[lab],
+                sibling_miss_ratio=pw.sibling_missiness[lab],
+                memory_latency_scale=pw.mem_scale[lab],
+            ))
+        cpi_eff = [max(est, bd.cpi) for est, bd in zip(cpi_est, final)]
 
-        resolved = {
-            a.placement.context.label: ResolvedContext(
+        resolved = {}
+        for a, label, k in zip(active, struct.labels, struct.class_of):
+            resolved[label] = ResolvedContext(
                 active=a,
-                rates=rates[a.placement.context.label],
-                mispredict_rate=misp[a.placement.context.label],
-                cpi=breakdowns[a.placement.context.label],
-                bus=outcomes.get(a.placement.context.label),
-                cpi_eff=max(
-                    cpi_est[a.placement.context.label],
-                    breakdowns[a.placement.context.label].cpi,
-                ),
-                coherence_per_instr=coh_mpi[a.placement.context.label],
+                rates=rates[k],
+                mispredict_rate=misp[k],
+                cpi=final[k],
+                bus=outcomes[label],
+                cpi_eff=cpi_eff[k],
+                coherence_per_instr=coh_mpi[k],
+                class_index=k,
             )
-            for a in active
-        }
         # Fault-drill hook: a no-op without an active resolver-skew plan.
         faults.maybe_skew_resolver(resolved)
         return resolved

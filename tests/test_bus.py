@@ -1,10 +1,16 @@
 """Tests for the front-side-bus / prefetcher contention model."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.machine.params import BusParams
-from repro.mem.bus import BusLoad, BusModel, PREFETCH_WASTE
+from repro.mem.bus import (
+    BusLoad,
+    BusModel,
+    PREFETCH_WASTE,
+    resolve_lite_lanes,
+)
 
 
 def model(**over):
@@ -144,3 +150,148 @@ class TestProperties:
         out = model().resolve([load(demand=demand, pf=pf)])
         cov = out["A0"].prefetch_coverage
         assert 0.0 <= cov <= BusParams().prefetch_max_coverage + 1e-9
+
+
+# ----------------------------------------------------------------------
+# The class-indexed kernel
+# ----------------------------------------------------------------------
+
+demands = st.one_of(st.just(0.0), st.floats(min_value=1e6, max_value=1e10))
+fractions = st.floats(min_value=0.0, max_value=1.0)
+
+
+@st.composite
+def class_steps(draw):
+    """A step collapsed into classes the way the resolver's classifier
+    collapses one: each chip carries one of a few member sequences
+    (several chips may repeat a sequence), a class lives in exactly one
+    sequence, and a sequence may list a class more than once.
+
+    Returns ``(chip_members, class_chip, per-class inputs)``.
+    """
+    n_seqs = draw(st.integers(1, 3))
+    seqs, next_class = [], 0
+    for _ in range(n_seqs):
+        ids = list(range(next_class, next_class + draw(st.integers(1, 3))))
+        next_class = ids[-1] + 1
+        repeats = draw(st.lists(st.sampled_from(ids), max_size=2))
+        seqs.append(tuple(draw(st.permutations(ids + repeats))))
+    n_chips = draw(st.integers(n_seqs, 4))
+    chip_seq = draw(st.permutations(
+        list(range(n_seqs))
+        + draw(st.lists(st.integers(0, n_seqs - 1),
+                        min_size=n_chips - n_seqs,
+                        max_size=n_chips - n_seqs))
+    ))
+    chip_members = tuple(seqs[i] for i in chip_seq)
+    class_chip = tuple(
+        next(c for c, members in enumerate(chip_members) if k in members)
+        for k in range(next_class)
+    )
+
+    def per_class(elements):
+        return draw(st.lists(elements, min_size=next_class,
+                             max_size=next_class))
+
+    inputs = dict(
+        demand=per_class(demands),
+        read_frac=per_class(fractions),
+        prefetchability=per_class(fractions),
+        bw_scale=per_class(st.one_of(
+            st.just(1.0), st.floats(min_value=0.3, max_value=1.0))),
+        cov=per_class(st.floats(min_value=0.0, max_value=0.85)),
+    )
+    return chip_members, class_chip, inputs
+
+
+buses = st.floats(min_value=0.25, max_value=4.0).map(
+    lambda s: BusModel(BusParams(
+        chip_read_bw=3.57e9 * s, chip_write_bw=1.77e9 * s,
+        system_read_bw=4.43e9 * s, system_write_bw=2.06e9 * s,
+    ))
+)
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+def solve(bus, chip_members, class_chip, inputs):
+    classes = bus.prepare(
+        chip_members, class_chip, inputs["demand"], inputs["read_frac"],
+        inputs["prefetchability"], inputs["bw_scale"],
+    )
+    return bus.resolve_lite(classes, inputs["demand"], inputs["cov"])
+
+
+class TestClassKernel:
+    @given(class_steps(), buses)
+    @settings(max_examples=200, deadline=None)
+    def test_classes_equal_one_class_per_context(self, step, bus):
+        """Collapsing contexts into classes is bit-identical to solving
+        every context as its own class."""
+        chip_members, class_chip, inputs = step
+        of_context = [k for members in chip_members for k in members]
+        expanded_members, start = [], 0
+        for members in chip_members:
+            expanded_members.append(
+                tuple(range(start, start + len(members))))
+            start += len(members)
+        expanded_chip = tuple(
+            c for c, members in enumerate(chip_members) for _ in members
+        )
+        expanded = {
+            name: [values[k] for k in of_context]
+            for name, values in inputs.items()
+        }
+        got = solve(bus, chip_members, class_chip, inputs)
+        want = solve(bus, tuple(expanded_members), expanded_chip, expanded)
+        for got_k, want_i in zip(got, want):
+            assert bits(got_k[k] for k in of_context) == bits(want_i)
+
+    @given(class_steps(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_lane_loop_runs_the_kernel_per_live_lane(self, step, data):
+        """Live lanes get exactly the per-lane kernel's values; frozen
+        lanes are left alone."""
+        chip_members, class_chip, inputs = step
+        n_lanes = data.draw(st.integers(1, 5))
+        lane_buses = [data.draw(buses) for _ in range(n_lanes)]
+        K = len(class_chip)
+        demand = np.array([
+            data.draw(st.lists(demands, min_size=K, max_size=K))
+            for _ in range(n_lanes)
+        ]).reshape(n_lanes, K)
+        live = np.array(data.draw(st.lists(
+            st.booleans(), min_size=n_lanes, max_size=n_lanes)))
+        classes = [
+            bus.prepare(chip_members, class_chip, list(demand[l]),
+                        inputs["read_frac"], inputs["prefetchability"],
+                        inputs["bw_scale"])
+            for l, bus in enumerate(lane_buses)
+        ]
+        mult = np.full((n_lanes, K), -1.0)
+        cov = np.tile(np.array(inputs["cov"]).reshape(1, K), (n_lanes, 1))
+        util = np.full((n_lanes, K), -2.0)
+        before = [a.copy() for a in (mult, cov, util)]
+        want = [
+            bus.resolve_lite(classes[l], demand[l].tolist(), inputs["cov"])
+            for l, bus in enumerate(lane_buses)
+        ]
+        resolve_lite_lanes(lane_buses, classes, demand, live, mult, cov,
+                           util)
+        for l in range(n_lanes):
+            for j, arr in enumerate((mult, cov, util)):
+                expect = want[l][j] if live[l] else before[j][l]
+                assert bits(arr[l]) == bits(expect), (l, j)
+
+    def test_prepare_counts_only_agents_with_demand(self):
+        """A zero-demand context is no bus agent: it adds no snoop
+        traffic to its chip or the others."""
+        bus = model()
+        idle = bus.prepare(((0, 1), (2,)), (0, 0, 1), [1e9, 0.0, 1e9],
+                           [0.8] * 3, [0.5] * 3, [1.0] * 3)
+        alone = bus.prepare(((0,), (1,)), (0, 1), [1e9, 1e9],
+                            [0.8] * 2, [0.5] * 2, [1.0] * 2)
+        assert idle.snoop_chip == alone.snoop_chip
+        assert idle.snoop_sys == alone.snoop_sys

@@ -91,6 +91,51 @@ class TestFrozenCounterSet:
         assert back.collector.total() == result.collector.total()
         assert back.metrics() == result.metrics()
 
+    def test_a_fresh_interpreter_reads_disk_tier_counters(self, tmp_path):
+        """Events hash by identity, so a result unpickled in another
+        process must key its counters by that process's members."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.core.runcache import RunCache
+        from repro.core.study import Study
+
+        result = Study("S").run("CG", "ht_on_4_1")
+        counters = result.programs[0].counters
+        assert counters.get(Event.L2_MISS) > 0
+        RunCache(disk_dir=tmp_path / "cache").put("fp", ("CG",), result)
+        expected = [[ev.value, v.hex()] for ev, v in counters.as_dict().items()]
+        code = (
+            "import json, sys\n"
+            "from repro.core.runcache import RunCache\n"
+            "from repro.counters.collector import CounterSet\n"
+            "from repro.counters.events import Event\n"
+            "cache_dir, expected = sys.argv[1], json.loads(sys.argv[2])\n"
+            "back = RunCache(disk_dir=cache_dir).get('fp', ('CG',))\n"
+            "got = back.programs[0].counters\n"
+            "want = CounterSet({Event(n): float.fromhex(h)\n"
+            "                   for n, h in expected})\n"
+            "assert got == want\n"
+            "assert got.get(Event.L2_MISS) == want.get(Event.L2_MISS) > 0\n"
+            "print(json.dumps([[e.value, v.hex()]\n"
+            "                  for e, v in got.as_dict().items()]))\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "cache"),
+             json.dumps(expected)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == expected
+
 
 class TestCollector:
     def test_program_aggregation(self):

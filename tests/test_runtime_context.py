@@ -23,6 +23,7 @@ from repro.serve.runner import JobRunner
 from repro.serve.schema import parse_job
 from repro.serve.scheduler import Scheduler
 from repro.sim import batch
+from tests.test_batch_equivalence import assert_identical_runs
 
 WAIT_S = 30.0
 
@@ -72,6 +73,72 @@ def test_interleaved_run_key_recorders_stay_per_thread():
     assert seen["b"] == [("single", "CG", "ht_off_4_2")]
     assert seen["a_after"] is None and seen["b_after"] is None
     assert current() is None
+
+
+#: Per thread (more threads than CI runners have cores): (configuration,
+#: workloads) runs; one workload is a single run, two a pair.  The
+#: threads share one engine per configuration (so one resolver and one
+#: structure cache) but run different workloads on it at once.
+_PLANS = (
+    [("ht_on_8_2", ("cg",)), ("ht_off_4_2", ("mg", "ft")),
+     ("ht_on_4_1", ("sp",)), ("ht_on_8_2", ("is",))],
+    [("ht_off_4_2", ("ft",)), ("ht_on_8_2", ("cg", "sp")),
+     ("ht_on_8_2", ("mg",)), ("ht_on_4_1", ("lu", "ep"))],
+    [("ht_on_4_1", ("bt",)), ("ht_on_8_2", ("ep", "lu")),
+     ("ht_off_4_2", ("cg",)), ("ht_off_4_2", ("sp", "is"))],
+)
+
+
+def _engine_runs(study, engines, plan):
+    """Run ``plan`` on ``engines`` (one per configuration, no cache)."""
+    out = []
+    for config, names in plan:
+        engine = engines[config]
+        workloads = [study.workload(n) for n in names]
+        out.append(engine.run_pair(*workloads) if len(workloads) == 2
+                   else engine.run_single(workloads[0]))
+    return out
+
+
+def test_threads_sharing_engines_match_sequential_runs():
+    """Threads drive one study's shared engines with different workloads
+    and configurations at once; every result equals the same run made
+    sequentially on fresh engines."""
+    configs = {config for plan in _PLANS for config, _ in plan}
+    study = Study("S")
+
+    def fresh_engines():
+        return {config: study.engine(config) for config in configs}
+
+    with override(verify=False):
+        want = [_engine_runs(study, fresh_engines(), plan) for plan in _PLANS]
+    shared = fresh_engines()
+    barrier = threading.Barrier(len(_PLANS))
+    got = [[] for _ in _PLANS]
+
+    def drive(i):
+        with override(verify=False):
+            barrier.wait(WAIT_S)
+            for _ in range(3):
+                got[i].append(_engine_runs(study, shared, _PLANS[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=drive, args=(i,))
+                   for i in range(len(_PLANS))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(WAIT_S)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for i, plan in enumerate(_PLANS):
+        assert len(got[i]) == 3
+        for repeat in got[i]:
+            for (config, names), a, b in zip(plan, repeat, want[i]):
+                assert_identical_runs(a, b, f"{config}/{names}")
 
 
 class _StatsRunner:
