@@ -1,18 +1,17 @@
-"""Benchmark: one new workload family through the batched sweep path.
+"""Benchmark: one new workload family across a small machine sweep.
 
-Times the minigmg multigrid family across a small machine sweep, run
-through the machine-axis batched engine (the path the run-all pipeline
-uses for multi-machine sweeps), and checks the batched results equal
-the scalar ones.  Cheap enough (one V-cycle family, three machines) to
-ride in the CI smoke subset.
+Times the minigmg multigrid family on three machines through
+``Study.run`` (the path every sweep experiment takes), with the run
+cache off so each round simulates.  Cheap enough (one V-cycle family,
+three machines) to ride in the CI smoke subset.
 """
 
 import pytest
 
 from repro.core.context import override
+from repro.core.runcache import configure
 from repro.core.study import Study
 from repro.machine.registry import resolve_machine
-from repro.sim.batch import run_batched_single
 
 pytestmark = pytest.mark.smoke
 
@@ -20,25 +19,22 @@ _MACHINES = ("paxville", "nextgen-shared-l2", "nextgen-shared-l2-4mb")
 _CONFIG = "ht_off_4_2"
 
 
-def test_bench_minigmg_batched_sweep(benchmark):
+def test_bench_minigmg_machine_sweep(benchmark):
     studies = [
         Study("B", params=resolve_machine(m).to_params()) for m in _MACHINES
     ]
-    workloads = [st.workload("minigmg") for st in studies]
 
     def sweep():
+        configure(reset=True, enabled=False)
         with override(verify=False):
-            return run_batched_single(
-                [st.engine(_CONFIG) for st in studies], workloads
-            )
+            return [st.run("minigmg", _CONFIG) for st in studies]
 
-    results = benchmark.pedantic(sweep, rounds=3, iterations=1)
-    assert results is not None and len(results) == len(_MACHINES)
+    try:
+        results = benchmark.pedantic(sweep, rounds=3, iterations=1)
+    finally:
+        configure(reset=True, enabled=True)
     print()
-    for name, st, wl, res in zip(_MACHINES, studies, workloads, results):
-        with override(verify=False):
-            scalar = st.engine(_CONFIG).run_single(wl)
-        assert res.runtime_seconds == scalar.runtime_seconds
+    for name, res in zip(_MACHINES, results):
         print(f"minigmg on {name}: {res.runtime_seconds:.3f}s simulated")
     # Pooling the L2 helps the shrinking per-level working sets: the
     # shared-L2 variants should never be slower than stock Paxville.

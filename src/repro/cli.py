@@ -194,12 +194,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--skip", action="append", default=None, metavar="ID_OR_TAG",
         help="skip matching experiments (same syntax as --only)",
     )
+    # Accepted and ignored: the batched engine it selected is gone, but
+    # perfbench/runall.py still passes --batch auto.
     run_all.add_argument(
         "--batch", choices=("auto", "on", "off"), default=None,
-        help="machine-axis batching for sweep experiments: auto "
-             "(default) batches sweeps with two or more machine lanes, "
-             "on forces the batched engine, off disables it (also "
-             "settable via REPRO_BATCH)",
+        help=argparse.SUPPRESS,
     )
     run_all.add_argument(
         "--resume", action="store_true",
@@ -626,7 +625,6 @@ def _dispatch(argv: Optional[List[str]] = None) -> int:
             # Disk tier under the output directory: repeat runs (and the
             # pipeline workers) reuse earlier results across processes.
             cache_dir=None if args.no_cache else args.out / ".cache",
-            batch=args.batch,
             budget=budget,
         )
         if args.csv:
@@ -675,22 +673,6 @@ def _dispatch(argv: Optional[List[str]] = None) -> int:
             restore_signals()
             if journal is not None:
                 journal.close()
-        batched = sum(
-            rec.batch.get("batched_machines", 0)
-            for rec in pipeline.records.values()
-        )
-        scalar = sum(
-            rec.batch.get("scalar_fallbacks", 0)
-            for rec in pipeline.records.values()
-        )
-        deduped = sum(
-            rec.batch.get("deduplicated_machines", 0)
-            for rec in pipeline.records.values()
-        )
-        print(
-            f"machine-axis batching: {batched} machine(s) batched, "
-            f"{scalar} scalar fallback(s), {deduped} deduplicated"
-        )
         if args.csv:
             if {"fig2", "fig3"} <= set(pipeline.records):
                 _export_csv(args.out, pipeline)

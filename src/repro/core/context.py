@@ -18,16 +18,14 @@ single value threaded through every driver:
   data instead of re-running it.
 
 **The active context.**  The runtime switches a context carries —
-batch mode, verification, the fault plan, the budget and the default
-job count — are read wherever the work runs through :func:`current`,
-one :class:`contextvars.ContextVar`.  ``with ctx.active():`` makes a
+verification, the fault plan, the budget and the default job count —
+are read wherever the work runs through :func:`current`, one
+:class:`contextvars.ContextVar`.  ``with ctx.active():`` makes a
 context current for a block; each reader falls back to its environment
-variable (``REPRO_BATCH``, ``REPRO_VERIFY``, ``REPRO_FAULTS``,
-``REPRO_JOBS``) when no context is active or the field is ``None``.
-Per-task state lives on the active context too, in fields no caller
-sets: the task id, its deadline and cancel token (:meth:`for_task`),
-the run-key recorder of :func:`repro.sim.batch.record_run_keys` and the
-task's :class:`~repro.sim.batch.BatchStats`.  Because a ContextVar is
+variable (``REPRO_VERIFY``, ``REPRO_FAULTS``, ``REPRO_JOBS``) when no
+context is active or the field is ``None``.  Per-task state lives on
+the active context too, in fields no caller sets: the task id, its
+deadline and cancel token (:meth:`for_task`).  Because a ContextVar is
 per thread (and per :class:`contextvars.Context`), two jobs on two
 ``repro serve`` worker threads never see each other's state; pool
 workers receive the caller's context pickled and activate it in
@@ -49,12 +47,10 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence,
-    Set, Tuple, Union,
+    TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Set, Union,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.batch import BatchStats
     from repro.supervise.budget import Budget
 
 from repro.core.runcache import configure, study_fingerprint
@@ -72,14 +68,6 @@ __all__ = ["RunContext", "as_context", "current", "install", "override"]
 #: Sentinel distinguishing "inherit from the context" from an explicit
 #: ``None`` (= platform default) override.
 _INHERIT = object()
-
-
-def _fresh_batch_stats() -> "BatchStats":
-    # Imported on first use: the batched engine is not needed to list
-    # experiments, and importing it would slow every CLI start.
-    from repro.sim.batch import BatchStats
-
-    return BatchStats()
 
 
 @dataclass
@@ -115,13 +103,6 @@ class RunContext:
     #: environment variable and the audit-under-pytest default; an
     #: explicit ``True``/``False`` wins.
     verify: Optional[bool] = None
-    #: Machine-axis batching for sweep experiments
-    #: (:mod:`repro.sim.batch`): ``"auto"`` batches whenever a sweep has
-    #: two or more machine lanes and nothing forces scalar runs,
-    #: ``"on"`` forces the batched engine even for single lanes,
-    #: ``"off"`` disables it.  ``None`` defers to the ``REPRO_BATCH``
-    #: environment variable (default ``auto``).
-    batch: Optional[str] = None
     #: Wall-time budget (:class:`~repro.supervise.budget.Budget`) for
     #: the campaign and/or each experiment.  Armed budgets use absolute
     #: monotonic deadlines, which pool workers on the same host compare
@@ -155,25 +136,9 @@ class RunContext:
     token: Optional[CancelToken] = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: Called with every ``Study`` run key requested while active.
-    run_key_recorder: Optional[Callable[[Tuple[str, ...]], None]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    batch_stats: "BatchStats" = field(
-        default_factory=_fresh_batch_stats, init=False, repr=False,
-        compare=False,
-    )
 
     # ------------------------------------------------------------------
     def __post_init__(self) -> None:
-        if self.batch is not None:
-            from repro.sim.batch import BATCH_MODES
-
-            if self.batch not in BATCH_MODES:
-                raise ValueError(
-                    f"batch mode must be one of {BATCH_MODES}, "
-                    f"got {self.batch!r}"
-                )
         if self.jobs is not None and self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.machine is not None:
@@ -301,9 +266,8 @@ class RunContext:
         """A copy with ``changes`` applied.
 
         Per-task state carries over unless ``changes`` names it, so a
-        block nested in a task (a run-key recording, a test override)
-        still counts into the task's batch stats and keeps its
-        deadline.  The study pool starts empty.
+        block nested in a task (a test override) keeps the task's
+        deadline and cancel token.  The study pool starts empty.
         """
         state = {
             name: changes.pop(name, getattr(self, name))
@@ -320,7 +284,7 @@ class RunContext:
         timeout_s: Optional[float] = None,
         now: Optional[float] = None,
     ) -> "RunContext":
-        """This context narrowed to one task, with fresh batch stats.
+        """This context narrowed to one task.
 
         The deadline is ``timeout_s`` from ``now`` when given, else the
         armed budget's per-experiment deadline (none when unbudgeted).
@@ -335,15 +299,14 @@ class RunContext:
                          or self.budget.run_timeout_s)
         return self.derive(
             task_id=task_id, task_timeout_s=timeout_s, deadline=deadline,
-            token=token, run_key_recorder=None,
-            batch_stats=_fresh_batch_stats(),
+            token=token,
         )
 
     def __getstate__(self) -> Dict[str, Any]:
-        # The token and recorder belong to this process; a pool worker
-        # keeps the deadline, which is on the host's monotonic clock.
+        # The token belongs to this process; a pool worker keeps the
+        # deadline, which is on the host's monotonic clock.
         state = dict(self.__dict__)
-        state["token"] = state["run_key_recorder"] = None
+        state["token"] = None
         return state
 
     # ------------------------------------------------------------------
@@ -381,10 +344,7 @@ class RunContext:
 
 
 #: Per-task fields :meth:`RunContext.derive` carries over.
-_TASK_STATE = (
-    "task_id", "task_timeout_s", "deadline", "token", "run_key_recorder",
-    "batch_stats",
-)
+_TASK_STATE = ("task_id", "task_timeout_s", "deadline", "token")
 
 _ACTIVE: ContextVar[Optional[RunContext]] = ContextVar(
     "repro_run_context", default=None

@@ -60,15 +60,12 @@ class Study:
         self.omp = omp
         #: Memoized workload resolutions: input token -> (run-key token,
         #: workload).  Registry workloads are additionally memoized under
-        #: their run-key token so batched prefetch lanes, which replay
-        #: recorded keys, resolve them without a registry round trip.
+        #: their run-key token, so a run key's token resolves without a
+        #: registry round trip.
         self._workloads: Dict[str, Tuple[str, Workload]] = {}
         self._fingerprint = study_fingerprint(
             self.problem_class, params, scheduler, omp
         )
-        #: Results installed by the batched prefetch path; consulted on
-        #: cache miss so batching works even with the cache disabled.
-        self._preloaded: Dict[Tuple[str, ...], RunResult] = {}
 
     @property
     def fingerprint(self) -> str:
@@ -80,28 +77,12 @@ class Study:
         return get_cache()
 
     def _cached_run(self, key: Tuple[str, ...], compute) -> RunResult:
-        # The batched sweep planner (repro.sim.batch.record_run_keys)
-        # learns which runs a sweep lane needs through this recorder.
-        from repro.core.context import current
-
-        ctx = current()
-        if ctx is not None and ctx.run_key_recorder is not None:
-            ctx.run_key_recorder(key)
         cache = self._cache
         value = cache.get(self._fingerprint, key)
         if cache.is_miss(value):
-            value = self._preloaded.get(key)
-            if value is None:
-                value = compute()
+            value = compute()
             cache.put(self._fingerprint, key, value)
         return value
-
-    def preload(self, key: Tuple[str, ...], result: RunResult) -> None:
-        """Install a precomputed run for ``key`` (the batched prefetch
-        path); also published to the run cache so other studies with the
-        same fingerprint share it."""
-        self._preloaded[key] = result
-        self._cache.put(self._fingerprint, key, result)
 
     # ------------------------------------------------------------------
     def _workload_entry(self, benchmark: str) -> Tuple[str, Workload]:
@@ -175,11 +156,10 @@ class Study:
         self, benchmark: str, config: str = "serial"
     ) -> Optional[RunResult]:
         """The cached result for a run, or None — never simulates."""
-        key = self.run_key(benchmark, config)
-        value = self._cache.get(self._fingerprint, key)
-        if self._cache.is_miss(value):
-            return self._preloaded.get(key)
-        return value
+        value = self._cache.get(
+            self._fingerprint, self.run_key(benchmark, config)
+        )
+        return None if self._cache.is_miss(value) else value
 
     def run(self, benchmark: str, config: str = "serial") -> RunResult:
         """Run one benchmark under one configuration (cached)."""

@@ -20,8 +20,7 @@ from repro.core.context import RunContext, as_context
 from repro.core.study import Study
 from repro.machine.configurations import Architecture
 from repro.experiments import table2_avg_speedup
-from repro.sim import batch as _batch
-from repro.sim.parallel import parallel_map, serial_map
+from repro.sim.parallel import parallel_map
 
 
 @dataclass
@@ -63,35 +62,16 @@ def run(
 
     Classes are independent studies, so the sweep fans out over the
     parallel runner (``jobs=None`` uses the context's setting, falling
-    back to the global default).  With machine-axis batching enabled,
-    the first class runs scalar as the recording lane and the remaining
-    classes are prefetched through the batched engine instead
-    (byte-identical results; ``jobs`` is then ignored).
+    back to the global default).
     """
     ctx = as_context(ctx)
     jobs = jobs if jobs is not None else ctx.jobs
     result = ClassScalingResult(classes=list(classes))
-    use_batch = (
-        len(classes) >= 2
-        and _batch.batching_allowed(len(classes) - 1)
-        and not _batch.runtime_forces_scalar()
+    summaries = parallel_map(
+        _class_summary,
+        [(ctx, cls, benchmarks) for cls in classes],
+        jobs=jobs,
     )
-    if use_batch:
-        with _batch.record_run_keys() as keys:
-            first = _class_summary((ctx, classes[0], benchmarks))
-        _batch.note_scalar_fallback(1)  # the recording lane runs scalar
-        lanes = [ctx.study(problem_class=cls) for cls in classes[1:]]
-        _batch.prefetch_study_runs(lanes, keys)
-        summaries = [first] + serial_map(
-            _class_summary,
-            [(ctx, cls, benchmarks) for cls in classes[1:]],
-        )
-    else:
-        summaries = parallel_map(
-            _class_summary,
-            [(ctx, cls, benchmarks) for cls in classes],
-            jobs=jobs,
-        )
     for cls, (averages, slowdown, winners) in zip(classes, summaries):
         result.averages[cls] = averages
         result.ht8_slowdown[cls] = slowdown

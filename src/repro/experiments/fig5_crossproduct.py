@@ -19,7 +19,6 @@ from repro.analysis.result import ExperimentResult
 from repro.analysis.stats import BoxStats, box_stats
 from repro.core.context import RunContext, as_context
 from repro.core.study import Study
-from repro.sim import batch as _batch
 from repro.sim.parallel import parallel_map
 
 
@@ -70,13 +69,6 @@ def run(
     benches = list(benchmarks or ctx.workload_names())
     cfgs = list(configs or study.paper_configs())
     pairs = list(itertools.combinations_with_replacement(benches, 2))
-
-    # Multiprogram (pair) runs interleave two phase streams and never
-    # advance in lockstep, so this experiment is scalar-only by design;
-    # with batching enabled, account its one machine as a fallback so
-    # the run-all manifest reflects what actually ran.
-    if _batch.batching_allowed(1) and not _batch.runtime_forces_scalar():
-        _batch.note_scalar_fallback(1)
 
     per_config = parallel_map(
         _config_samples, [(study, cfg, pairs) for cfg in cfgs], jobs=jobs

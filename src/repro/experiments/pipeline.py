@@ -60,7 +60,6 @@ from repro.core.context import RunContext, as_context
 from repro.core.runcache import get_cache
 from repro.experiments import registry
 from repro import supervise
-from repro.sim import batch as _batch
 from repro.sim.parallel import FallbackReport, parallel_map, resolve_jobs
 from repro.supervise.journal import JOURNAL_NAME, Journal, load_journal
 from repro.testing import faults
@@ -87,7 +86,9 @@ __all__ = [
 #: ``scalar_fallbacks`` / ``deduplicated_machines``).
 #: 4 = supervised execution: top-level ``cancelled`` and ``supervision``
 #: (budget / circuit-breaker) sections; ``status`` gains ``cancelled``.
-MANIFEST_SCHEMA = 4
+#: 5 = the batched engine is gone: no ``batch_mode`` and no
+#: per-experiment ``batch`` section.
+MANIFEST_SCHEMA = 5
 
 #: ``run-all`` exit status when the matrix completed only partially
 #: (distinct from 2 = bad arguments; completed artifacts are still
@@ -110,8 +111,6 @@ class ExperimentRecord:
     wall_time_s: float
     cache: Dict[str, Any] = field(default_factory=dict)
     study_fingerprints: List[str] = field(default_factory=list)
-    #: Machine-axis batching counters (:class:`repro.sim.batch.BatchStats`).
-    batch: Dict[str, int] = field(default_factory=dict)
     wave: int = 0
     #: Pre-rendered ``<id>.json`` payload, set for records reused from a
     #: previous run (whose ``result`` may be unrehydratable).  When
@@ -232,7 +231,7 @@ def _execute(
     down instead of starting the next task.
 
     The experiment runs under its own task context (:meth:`RunContext.
-    for_task`): its deadline and batch counters belong to it alone.
+    for_task`): its deadline and cancel token belong to it alone.
     """
     before = get_cache().stats.snapshot()
     ctx.touched_fingerprints(reset=True)
@@ -275,7 +274,6 @@ def _execute(
         wall_time_s=wall,
         cache=get_cache().stats.since(before).as_dict(),
         study_fingerprints=ctx.touched_fingerprints(),
-        batch=task.batch_stats.as_dict(),
         wave=wave,
     )
 
@@ -522,7 +520,6 @@ def _record_from_resume(
         wall_time_s=float(meta.get("wall_time_s", 0.0)),
         cache=dict(meta.get("cache", {})),
         study_fingerprints=list(meta.get("study_fingerprints", [])),
-        batch=dict(meta.get("batch", {})),
         wave=wave_index,
         payload=payload,
     )
@@ -643,7 +640,6 @@ def _manifest_row(rec: ExperimentRecord) -> Dict[str, Any]:
         "wave": rec.wave,
         "wall_time_s": round(rec.wall_time_s, 4),
         "cache": rec.cache,
-        "batch": rec.batch,
         "study_fingerprints": rec.study_fingerprints,
         "artifacts": {
             "text": f"{rec.id}.txt",
@@ -679,7 +675,6 @@ def _build_manifest(
         "problem_class": pc if isinstance(pc, str) else pc.value,
         "scheduler": ctx.scheduler,
         "jobs": n_jobs,
-        "batch_mode": _batch.get_mode(),
         "cache": {
             "enabled": cache.enabled,
             "disk_dir": str(cache.disk_dir) if cache.disk_dir else None,

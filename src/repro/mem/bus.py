@@ -15,9 +15,7 @@ binding bottleneck (chip port or memory controller).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from repro.machine.params import BusParams
 
@@ -324,6 +322,11 @@ class BusModel:
                 if head_factor > 1.0:
                     head_factor = 1.0
                 target = max_cov[k] * head_factor
+                # A ceiling scaled past 1 (a sensitivity perturbation of
+                # prefetch_max_coverage) must not cover more misses than
+                # there are: demand transactions would go negative.
+                if target > 1.0:
+                    target = 1.0
                 # Damping keeps the loop from oscillating at the knee.
                 old = cov[k]
                 new_cov = 0.5 * old + 0.5 * target
@@ -366,32 +369,17 @@ class BusModel:
 
 
 # ----------------------------------------------------------------------
-# The same kernel over a batch of machine lanes
+# Trace-target stub
 # ----------------------------------------------------------------------
 
 
-def resolve_lite_lanes(
-    buses: Sequence[BusModel],
-    classes: Sequence[BusClasses],
-    demand: np.ndarray,
-    live: np.ndarray,
-    mult: np.ndarray,
-    cov: np.ndarray,
-    util: np.ndarray,
-) -> None:
-    """:meth:`BusModel.resolve_lite` for every live lane of a batch.
+def resolve_lite_lanes(*args: Any, **kwargs: Any) -> NoReturn:
+    """Stub for the removed batched engine's per-lane bus loop.
 
-    ``demand``, ``mult``, ``cov`` and ``util`` are ``[L, K]`` arrays
-    (lane, class); ``cov`` holds each lane's warm start on entry.  Live
-    lanes (``live[l]``) get their converged values written in place;
-    frozen lanes are left alone, so their rows keep the values of the
-    iteration they converged at.  At the sweep's shape (a few dozen
-    lanes, one or two classes) a Python loop per lane beats NumPy's
-    per-operation overhead.
+    ``perfbench/trace.py`` still names this function in its ``WRAPS``
+    table; see :mod:`repro.sim.batch`.
     """
-    dem = demand.tolist()
-    warm = cov.tolist()
-    for l in np.flatnonzero(live).tolist():
-        mult[l], cov[l], util[l] = buses[l].resolve_lite(
-            classes[l], dem[l], warm[l]
-        )
+    raise NotImplementedError(
+        "the machine-axis batched engine was removed; use "
+        "BusModel.resolve_lite"
+    )

@@ -14,7 +14,7 @@ job_key`) and takes exactly one of three paths, checked in order:
 
 The scheduler captures the :mod:`contextvars` context it was built in
 (so an embedder's active :class:`~repro.core.context.RunContext` —
-verification, batch mode, fault plan — governs its jobs), and workers
+verification, fault plan — governs its jobs), and workers
 run each execution in a copy of it under a task context
 (:meth:`~repro.core.context.RunContext.for_task`) carrying the
 execution's cooperative :class:`~repro.supervise.cancel.CancelToken`

@@ -29,41 +29,11 @@ from repro.trace.phase import Phase
 __all__ = [
     "EXTRA_LEVEL_EVENTS",
     "Progress",
-    "STEP_EVENTS",
     "TimeAccountant",
 ]
 
-#: The exact event-emission order of :meth:`TimeAccountant.accumulate`.
-#: The batched engine (:mod:`repro.sim.batch`) accumulates the same
-#: events as ``[n_machines, n_classes, n_events]`` arrays and rebuilds
-#: per-context counter sets in this order, so batched and scalar
-#: collectors are byte-identical — keep both sites in sync.
-STEP_EVENTS: Tuple[Event, ...] = (
-    Event.INSTR_RETIRED,
-    Event.CYCLES,
-    Event.STALL_CYCLES,
-    Event.TC_DELIVER,
-    Event.TC_MISS,
-    Event.L1D_ACCESS,
-    Event.L1D_MISS,
-    Event.L2_ACCESS,
-    Event.L2_MISS,
-    Event.ITLB_ACCESS,
-    Event.ITLB_MISS,
-    Event.DTLB_ACCESS,
-    Event.DTLB_MISS,
-    Event.BRANCH_RETIRED,
-    Event.BRANCH_MISPRED,
-    Event.BUS_TRANS_DEMAND,
-    Event.BUS_TRANS_PREFETCH,
-    Event.MACHINE_CLEAR,
-    Event.COHERENCE_TRANSFER,
-)
-
 #: (access, miss) event pair for each hierarchy level beyond the L2, in
-#: level order.  Only machines declaring extra levels emit these; the
-#: batched engine appends them to its event axis when every lane has the
-#: same hierarchy depth.
+#: level order.  Only machines declaring extra levels emit these.
 EXTRA_LEVEL_EVENTS: Tuple[Tuple[Event, Event], ...] = (
     (Event.L3_ACCESS, Event.L3_MISS),
     (Event.L4_ACCESS, Event.L4_MISS),
@@ -204,8 +174,8 @@ class TimeAccountant:
     def _events(
         phase: Phase, fraction: float, r: ResolvedContext
     ) -> Dict[Event, float]:
-        """One context's PMU events for ``fraction`` of ``phase``, in
-        :data:`STEP_EVENTS` order (then any extra-level pairs)."""
+        """One context's PMU events for ``fraction`` of ``phase``, in a
+        fixed order, then any extra-level pairs."""
         instr = phase.instructions / r.active.n_work * fraction
         rates = r.rates
         cov = r.bus.prefetch_coverage if r.bus else 0.0

@@ -298,14 +298,6 @@ class Engine:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def active_contexts(
-        self, live: List[Progress], placement: Placement
-    ) -> List[ActiveContext]:
-        """The busy hardware contexts of one step (public so the
-        lockstep batched driver in :mod:`repro.sim.batch` can mirror the
-        step loop without duplicating team/phase bookkeeping)."""
-        return self._active_contexts(live, placement)
-
     def _active_contexts(
         self, live: List[Progress], placement: Placement
     ) -> List[ActiveContext]:

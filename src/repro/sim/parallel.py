@@ -32,8 +32,8 @@ pool while keeping the *exact* semantics of the serial loop:
 The default job count is the active
 :class:`~repro.core.context.RunContext`'s ``jobs`` (falling back to
 ``REPRO_JOBS``), and every pool worker activates the caller's context
-in its initializer, so batch mode, verification, the fault plan and the
-budget govern the workers exactly as they govern the caller.
+in its initializer, so verification, the fault plan and the budget
+govern the workers exactly as they govern the caller.
 
 Workers cooperate with the run cache of :mod:`repro.core.runcache`: each
 worker process has its own memory tier (seeded by fork from the parent),
@@ -61,20 +61,8 @@ __all__ = [
     "get_default_jobs",
     "parallel_map",
     "resolve_jobs",
-    "serial_map",
 ]
 
-
-def serial_map(fn: Callable[["T"], "R"], items: Sequence["T"]) -> List["R"]:
-    """The in-process counterpart of :func:`parallel_map`.
-
-    Batched sweeps (:mod:`repro.sim.batch`) must evaluate their lanes in
-    the calling process — the batched prefetch installs results on the
-    lane objects themselves, which a process pool would not see — so
-    they use this explicit serial path instead of ``parallel_map`` with
-    ``jobs=1`` (same semantics, but the intent is visible and no
-    fallback report is involved)."""
-    return [fn(x) for x in items]
 
 JOBS_ENV = "REPRO_JOBS"
 

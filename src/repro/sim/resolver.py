@@ -104,15 +104,13 @@ _STRUCTURE_CACHE_SIZE = 512
 
 @dataclass(frozen=True)
 class _StepStructure:
-    """Machine-lane-independent shape of one step's active set.
+    """Machine-independent shape of one step's active set.
 
     Contexts whose full contention inputs are symmetric collapse into
-    one *class*, and both engines solve a step once per class instead
-    of once per context: the scalar :class:`FixedPointResolver` over
-    Python floats, the batched resolver over ``[n_machines, n_classes]``
-    arrays.  For the paper's single-program runs every parallel phase
-    collapses to one class (all team members are interchangeable) and
-    serial phases have a single active context.
+    one *class*, and :class:`FixedPointResolver` solves a step once per
+    class instead of once per context.  For the paper's single-program
+    runs every parallel phase collapses to one class (all team members
+    are interchangeable) and serial phases have a single active context.
     """
 
     labels: Tuple[str, ...]
@@ -144,8 +142,8 @@ def _classify(
     their demand, chip-port utilization and hence their entire
     fixed-point trajectories identical.  On uniform machines the
     classifier looks only at placement structure and workload identity,
-    never at machine parameters, so one partition serves every lane of
-    a batch.  Non-uniform machines add each context's socket (the NUMA
+    never at machine parameters, so one partition serves every
+    machine.  Non-uniform machines add each context's socket (the NUMA
     latency and bandwidth tiers are relative to the program's home
     socket) and core class (clock and issue width differ per class).
     """
@@ -260,9 +258,7 @@ class Prework:
 
     Produced by :meth:`FixedPointResolver.prework` for one
     representative per contention-equivalence class (plus its HT
-    sibling); consumed by the scalar fixed point and — per machine lane
-    — by the batched resolver in :mod:`repro.sim.batch`, which packs
-    these per-label scalars into ``[n_machines, n_classes]`` arrays.
+    sibling); consumed by the fixed point.
     """
 
     rates: Dict[str, LevelRates] = field(default_factory=dict)

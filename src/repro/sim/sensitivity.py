@@ -126,15 +126,6 @@ def sweep_many(
     (and simulated) once rather than once per finding; the perturbation
     grid optionally fans out over a process pool.
 
-    When machine-axis batching is enabled (see :mod:`repro.sim.batch`),
-    the whole perturbation grid runs as one tensor computation instead:
-    the unperturbed study is evaluated first as the *recording lane*
-    (capturing which runs each lane needs), then every perturbed
-    machine's runs are prefetched through the batched engine and the
-    metrics are evaluated in-process against the preloaded results.
-    The batched path is byte-identical to the scalar one and ignores
-    ``jobs`` (there is no per-lane work left to fan out).
-
     Args:
         specs: metric/finding pairs; for the parallel path their
             callables must be module-level functions (picklable) —
@@ -144,8 +135,7 @@ def sweep_many(
         problem_class: NAS class for the underlying runs.
         jobs: process-pool width (None = the global default, 1 = serial).
     """
-    from repro.sim import batch as _batch
-    from repro.sim.parallel import parallel_map, serial_map
+    from repro.sim.parallel import parallel_map
 
     params = list(parameters or PERTURBABLE)
     grid = [
@@ -153,45 +143,17 @@ def sweep_many(
     ]
     specs = tuple(specs)
     base_study = Study(problem_class)
-
-    def baselines() -> List[SensitivityResult]:
-        return [
-            SensitivityResult(
-                metric_name=spec.metric_name,
-                baseline=spec.metric(base_study),
-            )
-            for spec in specs
-        ]
-
-    use_batch = (
-        _batch.batching_allowed(len(grid))
-        and not _batch.runtime_forces_scalar()
+    results = [
+        SensitivityResult(
+            metric_name=spec.metric_name, baseline=spec.metric(base_study)
+        )
+        for spec in specs
+    ]
+    evaluated = parallel_map(
+        _eval_perturbation,
+        [(specs, problem_class, path, scale) for _, path, scale in grid],
+        jobs=jobs,
     )
-    if use_batch:
-        with _batch.record_run_keys() as keys:
-            results = baselines()
-        _batch.note_scalar_fallback(1)  # the recording lane runs scalar
-        lane_studies = [
-            Study(
-                problem_class,
-                params=perturb_params(default_params(), path, scale),
-            )
-            for _, path, scale in grid
-        ]
-        _batch.prefetch_study_runs(lane_studies, keys)
-        evaluated = serial_map(
-            lambda study: [
-                (spec.metric(study), spec.finding(study)) for spec in specs
-            ],
-            lane_studies,
-        )
-    else:
-        results = baselines()
-        evaluated = parallel_map(
-            _eval_perturbation,
-            [(specs, problem_class, path, scale) for _, path, scale in grid],
-            jobs=jobs,
-        )
     for (name, _, scale), per_spec in zip(grid, evaluated):
         for result, (value, holds) in zip(results, per_spec):
             result.rows.append(

@@ -48,16 +48,14 @@ def clean_runtime_switches(monkeypatch):
     The switches themselves live on the active ``RunContext`` and end
     with the ``with`` block that set them; what remains process-wide is
     the environment — an externally-set ``REPRO_FAULTS``/
-    ``REPRO_VERIFY``/``REPRO_BATCH``/``REPRO_JOURNAL`` must not leak
-    in — and the process cancel token and circuit breakers, which
+    ``REPRO_VERIFY``/``REPRO_JOURNAL`` must not leak in — and the
+    process cancel token and circuit breakers, which
     ``supervise.reset()`` clears on both sides.
     """
     from repro import supervise, verify
-    from repro.sim import batch
 
     monkeypatch.delenv(faults.FAULTS_ENV, raising=False)
     monkeypatch.delenv(verify.VERIFY_ENV, raising=False)
-    monkeypatch.delenv(batch.BATCH_ENV, raising=False)
     monkeypatch.delenv(supervise.JOURNAL_ENV, raising=False)
     supervise.reset()
     yield

@@ -109,7 +109,8 @@ def bus_lite_per_load(
             u = utils_c[lchip[i]]
             headroom = max(p.prefetch_headroom - u, 0.0)
             head_factor = min(headroom / p.prefetch_headroom * 2.2, 1.0)
-            new_cov = 0.5 * cov_arr[i] + 0.5 * (max_cov[i] * head_factor)
+            target = min(max_cov[i] * head_factor, 1.0)
+            new_cov = 0.5 * cov_arr[i] + 0.5 * target
             delta = max(delta, abs(new_cov - cov_arr[i]))
             cov_arr[i] = new_cov
         if delta < 1e-6:

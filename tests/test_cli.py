@@ -81,6 +81,20 @@ class TestCli:
         # Nothing outside the selection ran.
         assert not (tmp_path / "fig3.txt").exists()
 
+    def test_run_all_still_accepts_batch_flag(self, capsys):
+        """``--batch`` selects nothing any more, but the repo benchmark
+        (perfbench/runall.py) passes ``--batch auto``: it must parse,
+        and stay out of ``--help``."""
+        from repro.cli import _build_parser
+
+        args = _build_parser().parse_args(
+            ["run-all", "--out", "x", "--batch", "auto"]
+        )
+        assert args.command == "run-all" and args.batch == "auto"
+        with pytest.raises(SystemExit):
+            main(["run-all", "--help"])
+        assert "--batch" not in capsys.readouterr().out
+
     def test_run_all_skip(self, tmp_path, capsys):
         assert main(["run-all", "--out", str(tmp_path),
                      "--only", "platform",

@@ -7,7 +7,11 @@ import pytest
 from repro.core.context import RunContext, as_context
 from repro.core.runcache import CacheStats, get_cache
 from repro.core.study import Study
-from repro.experiments.pipeline import run_pipeline, write_artifacts
+from repro.experiments.pipeline import (
+    MANIFEST_SCHEMA,
+    run_pipeline,
+    write_artifacts,
+)
 
 
 class TestRunContext:
@@ -104,8 +108,8 @@ class TestPipeline:
 
     def test_manifest_shape(self, pipeline):
         m = pipeline.manifest
-        assert m["schema"] == 4
-        assert m["batch_mode"] in ("auto", "on", "off")
+        assert m["schema"] == MANIFEST_SCHEMA
+        assert "batch_mode" not in m
         assert m["status"] == "complete"
         assert m["failures"] == {} and m["skipped"] == {}
         assert m["parallel_fallbacks"] == []
@@ -114,6 +118,7 @@ class TestPipeline:
         assert set(m["experiments"]) == {"fig3", "table2"}
         entry = m["experiments"]["table2"]
         assert entry["requires"] == ["fig3"]
+        assert "batch" not in entry
         assert entry["artifacts"] == {
             "text": "table2.txt", "json": "table2.json"
         }

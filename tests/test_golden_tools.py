@@ -1,5 +1,6 @@
 """Tests for the golden-diff tooling (``tools/golden_diff.py`` and
-``tools/refresh_goldens.py``).
+``tools/refresh_goldens.py``) and the benchmark gate
+(``tools/bench_compare.py``).
 
 The text-alignment logic is exercised directly on synthetic renders;
 the refresh round-trip runs against a temporary golden directory with
@@ -7,6 +8,7 @@ the (expensive) artifact renderer stubbed out.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -29,6 +31,7 @@ def _load(name):
 
 golden_diff = _load("golden_diff")
 refresh_goldens = _load("refresh_goldens")
+bench_compare = _load("bench_compare")
 
 GOLDEN = """Table X: demo
 == cpi ==
@@ -100,3 +103,13 @@ class TestAgainstGoldens:
         assert refresh_goldens.refresh(tmp_path, ["demo"]) == 0
         after = golden_diff.diff_against_goldens(tmp_path, ["demo"])
         assert after["demo"].clean and golden_diff.report(after) == 0
+
+
+class TestBenchCompare:
+    def test_identical_reports_pass(self, tmp_path):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"benchmarks": [
+            {"name": "sweep", "stats": {"median": 6.0}},
+            {"name": "run", "stats": {"median": 1.5}},
+        ]}))
+        assert bench_compare.main([str(report), str(report)]) == 0

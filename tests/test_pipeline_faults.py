@@ -16,6 +16,7 @@ import pytest
 from repro.core.context import RunContext, override
 from repro.experiments.pipeline import (
     EXIT_PARTIAL_FAILURE,
+    MANIFEST_SCHEMA,
     ExperimentFailure,
     ResumeError,
     load_resume_state,
@@ -61,7 +62,7 @@ class TestFailureIsolation:
         ctx = RunContext(faults=fail_plan("omp-overheads"))
         out = run_pipeline(ctx, only=CHEAP)
         m = out.manifest
-        assert m["schema"] == 4
+        assert m["schema"] == MANIFEST_SCHEMA
         assert m["status"] == "partial"
         entry = m["failures"]["omp-overheads"]
         assert entry["error_type"] == "InjectedFault"

@@ -219,21 +219,40 @@ class TestJournalResume:
         assert not (tmp_path / "manifest.json").exists()
         return out
 
+    @staticmethod
+    def _with_batch_meta(journal_path):
+        """Rewrite a journal the way manifest schema 4 wrote it: every
+        ``task-finished`` meta carries the removed ``batch`` block."""
+        lines = []
+        for line in journal_path.read_text().splitlines():
+            record = json.loads(line)
+            if record.get("type") == "task-finished":
+                record["meta"]["batch"] = {
+                    "batched_machines": 3, "scalar_fallbacks": 1,
+                    "deduplicated_machines": 0,
+                }
+            lines.append(json.dumps(record))
+        journal_path.write_text("\n".join(lines) + "\n")
+
     def test_resume_without_manifest_uses_journal(self, tmp_path):
         first = self._killed_run(tmp_path)
-        state = load_resume_state(tmp_path)
-        assert sorted(state.completed) == sorted(CHEAP)
-        assert state.manifest["source"] == "journal"
-        assert state.manifest["status"] == "interrupted"
+        # The journal as written, then as an older package wrote it.
+        for rewrite in (None, self._with_batch_meta):
+            if rewrite is not None:
+                rewrite(tmp_path / JOURNAL_NAME)
+            state = load_resume_state(tmp_path)
+            assert sorted(state.completed) == sorted(CHEAP)
+            assert state.manifest["source"] == "journal"
+            assert state.manifest["status"] == "interrupted"
 
-        resumed = run_pipeline(RunContext(), only=CHEAP, resume=state)
-        assert resumed.ok
-        assert sorted(resumed.resumed) == sorted(CHEAP)
-        assert resumed.executed == []
-        # Adopted rows are identical to the uninterrupted run's rows.
-        assert resumed.manifest["experiments"] == (
-            first.manifest["experiments"]
-        )
+            resumed = run_pipeline(RunContext(), only=CHEAP, resume=state)
+            assert resumed.ok
+            assert sorted(resumed.resumed) == sorted(CHEAP)
+            assert resumed.executed == []
+            # Adopted rows are identical to the uninterrupted run's rows.
+            assert resumed.manifest["experiments"] == (
+                first.manifest["experiments"]
+            )
 
     def test_journal_resume_reruns_in_flight(self, tmp_path):
         self._killed_run(tmp_path)

@@ -26,7 +26,7 @@ from repro.machine.registry import list_machines
 from repro.sim.engine import Engine
 from repro.sim.resolver import FixedPointResolver, ResolvedContext
 from tests.oracles.resolver import PerContextResolver
-from tests.test_batch_equivalence import assert_identical_runs
+from tests.oracles.runs import assert_identical_runs
 
 
 def _machines() -> Dict[str, MachineParams]:

@@ -1,8 +1,8 @@
 """The active RunContext: per-thread, per-job runtime state.
 
-Every runtime switch and every piece of per-task state (run-key
-recorder, batch stats, task deadline and cancel token) lives on the
-``RunContext`` held in one ``ContextVar``.  These tests pin the
+Every runtime switch and every piece of per-task state (task deadline
+and cancel token) lives on the ``RunContext`` held in one
+``ContextVar``.  These tests pin the
 property that made that necessary: concurrent work — two threads, two
 ``repro serve`` jobs — never sees or clobbers another's state.  They
 are timing-dependent by nature, so CI runs this module 20 times.
@@ -22,8 +22,7 @@ from repro.serve import store as jobstore
 from repro.serve.runner import JobRunner
 from repro.serve.schema import parse_job
 from repro.serve.scheduler import Scheduler
-from repro.sim import batch
-from tests.test_batch_equivalence import assert_identical_runs
+from tests.oracles.runs import assert_identical_runs
 
 WAIT_S = 30.0
 
@@ -36,43 +35,6 @@ def _job(experiment):
 def _run(config):
     return {"kind": "run", "workload": "cg", "config": config,
             "problem_class": "S"}
-
-
-def test_interleaved_run_key_recorders_stay_per_thread():
-    """A enters, B enters, A exits: B keeps recording, and no recorder
-    outlives its block."""
-    study = Study("S")
-    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
-    seen = {}
-
-    def thread_a():
-        with batch.record_run_keys() as keys:
-            a_in.set()
-            assert b_in.wait(WAIT_S)
-            study.run("cg", "serial")
-        a_out.set()
-        seen["a"], seen["a_after"] = keys, current()
-
-    def thread_b():
-        assert a_in.wait(WAIT_S)
-        with batch.record_run_keys() as keys:
-            b_in.set()
-            assert a_out.wait(WAIT_S)
-            study.run("cg", "ht_off_4_2")  # A has already exited
-        seen["b"], seen["b_after"] = keys, current()
-
-    threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(WAIT_S)
-        assert not t.is_alive()
-    study.run("cg", "ht_on_4_1")  # after both: nobody may record this
-
-    assert seen["a"] == [("single", "CG", "serial")]
-    assert seen["b"] == [("single", "CG", "ht_off_4_2")]
-    assert seen["a_after"] is None and seen["b_after"] is None
-    assert current() is None
 
 
 #: Per thread (more threads than CI runners have cores): (configuration,
@@ -141,10 +103,9 @@ def test_threads_sharing_engines_match_sequential_runs():
                 assert_identical_runs(a, b, f"{config}/{names}")
 
 
-class _StatsRunner:
-    """The engine-backed runner, reporting the batch stats the job
-    counted into its task context.  Concurrent callers meet at a
-    barrier first, so their sweeps really overlap."""
+class _MeetingRunner:
+    """The engine-backed runner.  Concurrent callers meet at a barrier
+    first, so their sweeps really overlap."""
 
     def __init__(self, parties):
         self.runner = JobRunner()
@@ -152,12 +113,13 @@ class _StatsRunner:
 
     def __call__(self, spec):
         self.barrier.wait(WAIT_S)
-        payload = self.runner(spec)
-        return {"payload": payload, "batch": current().batch_stats.as_dict()}
+        return self.runner(spec)
 
 
 def _through_scheduler(payloads, workers):
-    scheduler = Scheduler(workers=workers, runner=_StatsRunner(len(payloads)))
+    scheduler = Scheduler(
+        workers=workers, runner=_MeetingRunner(len(payloads))
+    )
     try:
         jobs = [scheduler.submit(p) for p in payloads]
         return [_settle(scheduler, job) for job in jobs]
@@ -178,18 +140,17 @@ def _settle(scheduler, job):
 
 @pytest.fixture
 def cache_off():
-    """Batching skips cached runs, so the stats compare only cold."""
+    """Each sweep must simulate its own runs, not read the other's."""
     runcache.configure(reset=True, enabled=False)
     yield
     runcache.configure(reset=True, enabled=True)
 
 
-def test_concurrent_sweep_jobs_keep_their_own_batch_stats(cache_off):
+def test_concurrent_sweep_jobs_match_the_same_sweeps_alone(cache_off):
     """A sensitivity and a class-scaling job on a 2-worker scheduler
-    count exactly what each counts alone."""
+    return exactly what each returns alone."""
     payloads = [_job("sensitivity"), _job("class-scaling")]
-    # The scheduler captures the context it is built in: verification
-    # off, so both sweeps take the batched path.
+    # The scheduler captures the context it is built in.
     with override(verify=False):
         solo = [_through_scheduler([p], workers=1)[0] for p in payloads]
         interval = sys.getswitchinterval()
@@ -198,10 +159,7 @@ def test_concurrent_sweep_jobs_keep_their_own_batch_stats(cache_off):
             together = _through_scheduler(payloads, workers=2)
         finally:
             sys.setswitchinterval(interval)
-    for alone, concurrent in zip(solo, together):
-        assert alone["batch"]["batched_machines"] > 0
-        assert concurrent["batch"] == alone["batch"]
-        assert concurrent["payload"] == alone["payload"]
+    assert together == solo
     assert current() is None
 
 

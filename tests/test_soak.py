@@ -94,7 +94,7 @@ class TestEnvAndSpec:
 class TestRowComparison:
     ROW = {
         "status": "ok", "wave": 0, "result": {"speedup": 2.0},
-        "wall_time_s": 1.23, "cache": {"hits": 4}, "batch": 3,
+        "wall_time_s": 1.23, "cache": {"hits": 4},
     }
 
     def test_strip_provenance_drops_only_timing_keys(self):
@@ -104,7 +104,7 @@ class TestRowComparison:
         }
 
     def test_rows_match_modulo_provenance(self):
-        noisy = dict(self.ROW, wall_time_s=9.9, cache={}, batch=0)
+        noisy = dict(self.ROW, wall_time_s=9.9, cache={})
         soak.check_rows_match(
             {"experiments": {"fig2": noisy}},
             {"experiments": {"fig2": self.ROW}},

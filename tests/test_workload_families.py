@@ -1,8 +1,8 @@
 """Tests for the new workload families (minigmg, rzbench kernels).
 
 The families must be first-class citizens of the whole stack: audited by
-the invariant auditor, batchable by the machine-axis engine, sweepable
-by the experiment drivers, and cache-keyed through the registry tokens.
+the invariant auditor, sweepable by the experiment drivers, and
+cache-keyed through the registry tokens.
 """
 
 import pytest
@@ -100,33 +100,6 @@ class TestAuditedRuns:
         st = Study("B")
         s = st.speedup("minigmg", "ht_off_4_2")
         assert 1.0 < s <= 8.0
-
-
-class TestBatchedEquivalence:
-    def test_minigmg_batched_equals_scalar(self):
-        from repro.machine.registry import resolve_machine
-        from repro.sim.batch import run_batched_single
-        from tests.test_batch_equivalence import assert_identical_runs
-
-        # Lane-uniform hierarchy depth (two levels): deeper machines
-        # like broadwell-shared-l3 fall back to scalar runs by design.
-        variants = [
-            resolve_machine("paxville").to_params(),
-            resolve_machine("nextgen-shared-l2").to_params(),
-            resolve_machine("nextgen-shared-l2-4mb").to_params(),
-        ]
-        studies = [Study("B", params=p) for p in variants]
-        workloads = [st.workload("minigmg") for st in studies]
-        # The auditor forces scalar resolves by design; batching is the
-        # subject here, so switch it off for both paths.
-        with override(verify=False):
-            batched = run_batched_single(
-                [st.engine("ht_off_4_2") for st in studies], workloads
-            )
-            assert batched is not None
-            for st, wl, res in zip(studies, workloads, batched):
-                scalar = st.engine("ht_off_4_2").run_single(wl)
-                assert_identical_runs(res, scalar, tag="minigmg")
 
 
 class TestDriverSweeps:

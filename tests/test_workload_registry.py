@@ -161,8 +161,7 @@ class TestStudyIntegration:
         spec = resolve_workload("triad")
         token = st.workload_key("triad")
         assert token == f"triad@{spec.short_fingerprint}"
-        # The token itself resolves (the batched prefetch path replays
-        # recorded keys against fresh studies).
+        # The token itself resolves, also in a fresh study.
         assert Study("B").workload(token) == spec.build()
 
     def test_stale_fingerprint_rejected(self):

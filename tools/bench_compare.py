@@ -5,8 +5,6 @@ Usage::
 
     python tools/bench_compare.py BASELINE.json NEW.json [--threshold 0.25]
     python tools/bench_compare.py BENCH_baseline.json /tmp/bench_new.json
-    python tools/bench_compare.py --speedup REPORT.json SLOW_NAME FAST_NAME \
-        --threshold 3.0
 
 Benchmarks are matched by name; a benchmark regresses when its new
 median exceeds the baseline median by more than ``--threshold``
@@ -14,13 +12,6 @@ median exceeds the baseline median by more than ``--threshold``
 regresses, so the script can gate CI.  Benchmarks present in only one
 file are reported but never fail the comparison (they have nothing to
 regress against).
-
-``--speedup`` asserts a ratio *within* one report instead: the median of
-``SLOW_NAME`` divided by the median of ``FAST_NAME`` must be at least
-``--threshold`` (a multiplier here, not a fraction).  This gates
-optimizations that ship both paths in one benchmark file — e.g. the
-batched sweep engine, whose scalar and batched variants are
-parameterized cases of the same benchmark.
 
 Medians are compared rather than means because benchmark distributions
 on shared machines are long-tailed: one noisy outlier inflates a mean
@@ -77,76 +68,24 @@ def compare(
     return regressions
 
 
-def assert_speedup(
-    medians: Dict[str, float],
-    slow_name: str,
-    fast_name: str,
-    threshold: float,
-) -> int:
-    """Check ``median(slow) / median(fast) >= threshold``; return 0/1."""
-    missing = [n for n in (slow_name, fast_name) if n not in medians]
-    if missing:
-        print(f"benchmark(s) not in report: {', '.join(missing)}; "
-              f"available: {', '.join(sorted(medians)) or '-'}")
-        return 1
-    slow_t, fast_t = medians[slow_name], medians[fast_name]
-    speedup = slow_t / fast_t if fast_t else float("inf")
-    print(f"{slow_name}: {slow_t * 1e3:.3f}ms")
-    print(f"{fast_name}: {fast_t * 1e3:.3f}ms")
-    print(f"speedup: {speedup:.2f}x (required: >= {threshold:.2f}x)")
-    if speedup < threshold:
-        print("speedup below threshold.")
-        return 1
-    print("speedup OK.")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Fail when benchmarks regress vs a baseline."
     )
-    parser.add_argument(
-        "--speedup", action="store_true",
-        help="speedup-assertion mode: arguments become REPORT.json "
-             "SLOW_NAME FAST_NAME, and --threshold is the minimum "
-             "median(SLOW)/median(FAST) ratio",
-    )
     parser.add_argument("baseline", type=Path,
-                        help="pytest-benchmark JSON baseline "
-                             "(--speedup: the single report)")
-    parser.add_argument("new",
-                        help="pytest-benchmark JSON from the new code "
-                             "(--speedup: the slow benchmark's name)")
-    parser.add_argument("fast", nargs="?", default=None,
-                        help="--speedup only: the fast benchmark's name")
-    parser.add_argument("--threshold", type=float, default=None,
-                        help="allowed fractional slowdown (default 0.25); "
-                             "with --speedup, the minimum speedup ratio "
-                             "(default 1.0)")
+                        help="pytest-benchmark JSON baseline")
+    parser.add_argument("new", type=Path,
+                        help="pytest-benchmark JSON from the new code")
+    parser.add_argument("--threshold", type=float, default=0.25,
+                        help="allowed fractional slowdown (default 0.25)")
     args = parser.parse_args(argv)
-
-    if args.speedup:
-        if args.fast is None:
-            parser.error("--speedup needs REPORT.json SLOW_NAME FAST_NAME")
-        threshold = 1.0 if args.threshold is None else args.threshold
-        if threshold <= 0:
-            parser.error("--threshold must be > 0 with --speedup")
-        try:
-            medians = load_medians(args.baseline)
-        except (OSError, json.JSONDecodeError) as exc:
-            parser.error(f"cannot read benchmark report: {exc}")
-        return assert_speedup(medians, args.new, args.fast, threshold)
-
-    if args.fast is not None:
-        parser.error("three positional arguments only make sense "
-                     "with --speedup")
-    threshold = 0.25 if args.threshold is None else args.threshold
+    threshold = args.threshold
     if threshold < 0:
         parser.error("--threshold must be >= 0")
 
     try:
         baseline = load_medians(args.baseline)
-        new = load_medians(Path(args.new))
+        new = load_medians(args.new)
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"cannot read benchmark report: {exc}")
     regressions = compare(baseline, new, threshold)

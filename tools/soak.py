@@ -23,8 +23,8 @@ promises:
    and produces a complete manifest covering every selected experiment.
 3. **Recovery is correct.**  The recovered manifest's experiment rows
    match an uninterrupted reference run's rows, modulo wall-clock
-   timings and cache/batch provenance (which legitimately depend on
-   process history).
+   timings and cache provenance (which legitimately depend on process
+   history).
 
 The harness exits 0 only when every iteration upholds all three, so it
 can gate CI directly (the chaos-drill job runs
@@ -62,9 +62,9 @@ from repro.supervise.journal import (  # noqa: E402
 RUN_TIMEOUT_S = 120.0
 
 #: Provenance keys that legitimately differ between a recovered run and
-#: the uninterrupted reference (timings; cache/batch counters depend on
-#: process history; a faulted first run disables machine-axis batching).
-ROW_PROVENANCE = ("wall_time_s", "cache", "batch")
+#: the uninterrupted reference (timings; cache counters depend on
+#: process history).
+ROW_PROVENANCE = ("wall_time_s", "cache")
 
 
 class SoakFailure(AssertionError):
@@ -132,8 +132,7 @@ def _env(faults: Optional[str]) -> Dict[str, str]:
     )
     # The soak controls fault/supervision state explicitly; nothing may
     # leak in from the caller's shell.
-    for var in ("REPRO_FAULTS", "REPRO_JOURNAL", "REPRO_VERIFY",
-                "REPRO_BATCH"):
+    for var in ("REPRO_FAULTS", "REPRO_JOURNAL", "REPRO_VERIFY"):
         env.pop(var, None)
     if faults:
         env["REPRO_FAULTS"] = faults
