@@ -312,46 +312,53 @@ class Scheduler:
             execution = self._queue.get()
             if execution is _STOP:
                 return
-            with self._lock:
-                if execution.token.cancelled or not execution.live_jobs:
-                    # Every waiter cancelled while queued (or the drain
-                    # tripped the token): never runs.
-                    pass_through = True
-                else:
-                    pass_through = False
-                    execution.state = jobstore.RUNNING
-                    for job in execution.live_jobs:
-                        self.store.transition(
-                            job, jobstore.RUNNING, source=job.source
-                        )
-                    self.counters.engine_calls += 1
-            if pass_through:
-                self._finalize(
-                    execution, jobstore.CANCELLED,
-                    reason=execution.token.reason or "cancelled while queued",
-                )
-                continue
-            try:
-                result = self._context.copy().run(self._execute, execution)
-            except CancelledRun as exc:
-                self._finalize(
-                    execution, jobstore.CANCELLED, reason=str(exc)
-                )
-            except Exception as exc:  # contained, ExperimentFailure-style
-                self._finalize(
-                    execution, jobstore.FAILED,
-                    error={
-                        "error_type": type(exc).__name__,
-                        "message": str(exc),
-                        "traceback": traceback.format_exc(),
-                    },
-                    reason=(
-                        str(exc)
-                        if isinstance(exc, DeadlineExceeded) else None
-                    ),
-                )
+            self._run(execution)
+            # Hold no job while blocked on the queue: the weak result
+            # memo must drop a job as soon as the store evicts it.
+            del execution
+
+    def _run(self, execution: _Execution) -> None:
+        """Run one dequeued execution and finalize every waiter."""
+        with self._lock:
+            if execution.token.cancelled or not execution.live_jobs:
+                # Every waiter cancelled while queued (or the drain
+                # tripped the token): never runs.
+                pass_through = True
             else:
-                self._finalize(execution, jobstore.DONE, result=result)
+                pass_through = False
+                execution.state = jobstore.RUNNING
+                for job in execution.live_jobs:
+                    self.store.transition(
+                        job, jobstore.RUNNING, source=job.source
+                    )
+                self.counters.engine_calls += 1
+        if pass_through:
+            self._finalize(
+                execution, jobstore.CANCELLED,
+                reason=execution.token.reason or "cancelled while queued",
+            )
+            return
+        try:
+            result = self._context.copy().run(self._execute, execution)
+        except CancelledRun as exc:
+            self._finalize(
+                execution, jobstore.CANCELLED, reason=str(exc)
+            )
+        except Exception as exc:  # contained, ExperimentFailure-style
+            self._finalize(
+                execution, jobstore.FAILED,
+                error={
+                    "error_type": type(exc).__name__,
+                    "message": str(exc),
+                    "traceback": traceback.format_exc(),
+                },
+                reason=(
+                    str(exc)
+                    if isinstance(exc, DeadlineExceeded) else None
+                ),
+            )
+        else:
+            self._finalize(execution, jobstore.DONE, result=result)
 
     def _execute(self, execution: _Execution) -> Dict[str, Any]:
         """Run one execution under its own task context (called inside

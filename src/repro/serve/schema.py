@@ -39,8 +39,12 @@ from repro.machine.configurations import CONFIGURATIONS
 from repro.machine.registry import DEFAULT_MACHINE, resolve_machine
 from repro.machine.spec import MachineSpec
 from repro.npb.common import ProblemClass
-from repro.npb.suite import UnknownBenchmarkError, resolve_benchmark
-from repro.specfile import SpecError, UnknownSpecError
+from repro.npb.suite import (
+    UnknownBenchmarkError,
+    benchmark_spec,
+    resolve_benchmark,
+)
+from repro.specfile import SpecError, UnknownSpecError, spec_path
 
 __all__ = [
     "JOB_KINDS",
@@ -133,10 +137,12 @@ def _resolve_workload_token(token: Any, problem_class: str) -> str:
 
     NAS benchmarks canonicalize to their historical upper-case name
     (the study layer's run-cache spelling); registry workloads to
-    ``name@short_fingerprint``.  A registry spec whose *name* is a NAS
-    benchmark folds back onto the NAS token, so ``cg``, ``CG``, the CG
-    spec's fingerprint, and a path to an equivalent spec file all
-    collapse to one key.
+    ``name@short_fingerprint``.  A spec whose *content* is a built-in
+    NAS benchmark's at ``problem_class`` folds back onto the NAS token,
+    so ``cg``, ``CG``, the CG spec's fingerprint, and a path to an
+    equivalent spec file all collapse to one key.  Any other spec must
+    be the registered workload of its name, which is what the runner
+    resolves the token to; a spec merely *named* like one is rejected.
     """
     token = _token("workload", token)
     try:
@@ -150,9 +156,26 @@ def _resolve_workload_token(token: Any, problem_class: str) -> str:
     except (SpecError, UnknownSpecError) as exc:
         raise JobSpecError(f"workload: {exc}") from None
     try:
-        return resolve_benchmark(spec.name)
+        nas = resolve_benchmark(spec.name)
     except UnknownBenchmarkError:
-        return f"{spec.name}@{spec.short_fingerprint}"
+        nas = None
+    if nas is not None and (
+        spec.fingerprint == benchmark_spec(nas, problem_class).fingerprint
+    ):
+        return nas
+    # A name or fingerprint found the registered spec itself; a file must
+    # hold it too, since the runner resolves the token by name.
+    if spec_path(token) is not None:
+        try:
+            registered = resolve_workload(spec.name, problem_class)
+        except (SpecError, UnknownSpecError):
+            registered = None
+        if registered is None or registered.fingerprint != spec.fingerprint:
+            raise JobSpecError(
+                f"workload: {token!r} is not the registered workload "
+                f"{spec.name!r}; only registered workloads can be served"
+            )
+    return f"{spec.name}@{spec.short_fingerprint}"
 
 
 def parse_job(payload: Any) -> JobSpec:

@@ -649,6 +649,49 @@ def test_bounded_store_stays_consistent_under_concurrent_load(
         _shutdown(scheduler)
 
 
+class HoldCGRunner(CountingRunner):
+    """Runs every job at once except CG ones, which block until
+    released."""
+
+    def __init__(self):
+        super().__init__(block=True)
+
+    def __call__(self, spec):
+        if spec.workload != "CG":
+            return dict(self.result)
+        return super().__call__(spec)
+
+
+def test_result_memo_drops_jobs_the_store_evicted(monkeypatch):
+    """The weak result memo lives exactly as long as the store retains
+    a job: a worker blocked on an empty queue holds no finished job."""
+    monkeypatch.setattr(jobstore, "MAX_TERMINAL_JOBS", 1)
+    runner = HoldCGRunner()
+    scheduler = Scheduler(workers=2, runner=runner)
+
+    def settle(job_id):
+        deadline = time.monotonic() + 10
+        while not scheduler.get(job_id).terminal:
+            assert time.monotonic() < deadline
+            time.sleep(0.002)
+
+    try:
+        # CG holds one worker, so MG finishes on the other, which then
+        # blocks on the queue; CG finishing last evicts MG's job.
+        held = scheduler.submit(dict(RUN_CG)).id
+        assert runner.started.wait(5.0)
+        settle(scheduler.submit({**RUN_CG, "workload": "mg"}).id)
+        runner.release.set()
+        settle(held)
+        deadline = time.monotonic() + 2
+        while len(scheduler._done) > 1 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert [j.id for j in scheduler.store.jobs()] == [held]
+        assert len(scheduler._done) == 1
+    finally:
+        _shutdown(scheduler)
+
+
 # ----------------------------------------------------------------------
 # Canonical dedup keys
 
@@ -672,6 +715,52 @@ def test_job_key_ignores_spelling_of_workload_and_machine():
     ]
     for payload in spellings:
         assert job_key(parse_job(payload)) == job_key(base), payload
+
+
+def _renamed_spec_file(directory, name):
+    """A copy of ``workloads/strided-512.json`` named *name*."""
+    import json
+    from pathlib import Path
+
+    strided = Path(__file__).parents[1] / "workloads" / "strided-512.json"
+    path = directory / f"{name}.json"
+    path.write_text(json.dumps({**json.loads(strided.read_text()),
+                                "name": name}))
+    return path
+
+
+def test_spec_merely_named_like_a_nas_benchmark_is_not_that_benchmark(
+    tmp_path, monkeypatch,
+):
+    """A different spec named ``CG`` never takes built-in CG's key."""
+    cg_key = job_key(parse_job(dict(RUN_CG)))
+    impostor = _renamed_spec_file(tmp_path, "CG")
+    # Outside the registry the runner could not resolve it: rejected.
+    with pytest.raises(JobSpecError, match="not the registered workload"):
+        parse_job({**RUN_CG, "workload": str(impostor)})
+    # Registered (shadowing the built-in name), it keys on its content.
+    monkeypatch.setenv("REPRO_WORKLOADS_DIR", str(tmp_path))
+    spec = parse_job({**RUN_CG, "workload": str(impostor)})
+    assert spec.workload.startswith("CG@")
+    assert job_key(spec) != cg_key
+
+
+def test_spec_file_equal_to_a_nas_benchmark_folds_onto_its_key(tmp_path):
+    import json
+
+    from repro.workload.registry import list_workloads
+
+    twin = tmp_path / "twin.json"
+    twin.write_text(json.dumps(list_workloads("S")["CG"].to_dict()))
+    spec = parse_job({**RUN_CG, "workload": str(twin)})
+    assert spec.workload == "CG"
+    assert job_key(spec) == job_key(parse_job(dict(RUN_CG)))
+
+
+def test_unregistered_spec_file_is_rejected(tmp_path):
+    path = _renamed_spec_file(tmp_path, "not-registered")
+    with pytest.raises(JobSpecError, match="not the registered workload"):
+        parse_job({**RUN_CG, "workload": str(path)})
 
 
 def test_job_key_changes_with_every_simulation_parameter():
