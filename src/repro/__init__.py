@@ -10,8 +10,7 @@ The package builds the paper's entire experimental platform in software:
   SMT pipeline sharing, front-side bus and hardware prefetcher;
 * :mod:`repro.osmodel`, :mod:`repro.openmp` — Linux-style thread
   placement and the OpenMP runtime cost model;
-* :mod:`repro.npb` — workload models (plus real NumPy mini-kernels) for
-  the NAS Parallel Benchmarks;
+* :mod:`repro.npb` — workload models for the NAS Parallel Benchmarks;
 * :mod:`repro.counters` — the VTune-style performance-counter taxonomy;
 * :mod:`repro.sim` — the phase-level co-simulation engine;
 * :mod:`repro.lmbench` — latency/bandwidth microbenchmarks;

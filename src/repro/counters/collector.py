@@ -75,11 +75,7 @@ class CounterSet:
         return self.get(event)
 
     def merge(self, other: "CounterSet") -> "CounterSet":
-        out = CounterSet()
-        counts = out._counts = self.as_dict()
-        for ev, v in other._items():
-            counts[ev] = counts.get(ev, 0.0) + v
-        return out
+        return _sum((self, other))
 
     def ratio(self, num: Event, den: Event) -> float:
         d = self.get(den)
@@ -134,6 +130,16 @@ def _frozen(events: Tuple[Event, ...], values: array) -> CounterSet:
     return out
 
 
+def _sum(sets: Iterable[CounterSet]) -> CounterSet:
+    """Add the sets into one dict, in order, without a copy per set."""
+    out = CounterSet()
+    counts = out._counts
+    for cs in sets:
+        for ev, v in cs._items():
+            counts[ev] = counts.get(ev, 0.0) + v
+    return out
+
+
 @dataclass
 class Collector:
     """Per-(program, context) event accumulation."""
@@ -161,24 +167,18 @@ class Collector:
 
     def for_program(self, program_id: int) -> CounterSet:
         """Aggregate over every context a program's threads ran on."""
-        out = CounterSet()
-        for (pid, _), cs in self._sets.items():
-            if pid == program_id:
-                out = out.merge(cs)
-        return out
+        return _sum(
+            cs for (pid, _), cs in self._sets.items() if pid == program_id
+        )
 
     def for_context(self, context_label: str) -> CounterSet:
-        out = CounterSet()
-        for (_, label), cs in self._sets.items():
-            if label == context_label:
-                out = out.merge(cs)
-        return out
+        return _sum(
+            cs for (_, label), cs in self._sets.items()
+            if label == context_label
+        )
 
     def total(self) -> CounterSet:
-        out = CounterSet()
-        for cs in self._sets.values():
-            out = out.merge(cs)
-        return out
+        return _sum(self._sets.values())
 
     def freeze(self) -> "Collector":
         """Freeze every per-(program, context) set (see

@@ -36,10 +36,6 @@ class ValidationRow:
         """Absolute L1 miss-rate error (percentage points)."""
         return abs(self.analytic_l1 - self.structural_l1)
 
-    @property
-    def l2_error(self) -> float:
-        return abs(self.analytic_l2_local - self.structural_l2_local)
-
 
 @dataclass
 class ValidationResult(ExperimentResult):

@@ -52,10 +52,6 @@ class HWContext:
         """True when both contexts live on the same physical package."""
         return self.chip == other.chip
 
-    def shares_socket_with(self, other: "HWContext") -> bool:
-        """True when both contexts live on the same NUMA node."""
-        return self.socket == other.socket
-
 
 @dataclass
 class Core:
@@ -64,10 +60,6 @@ class Core:
     chip: int
     index: int
     contexts: List[HWContext] = field(default_factory=list)
-
-    @property
-    def smt_enabled(self) -> bool:
-        return len(self.contexts) > 1
 
     @property
     def key(self) -> Tuple[int, int]:

@@ -7,10 +7,11 @@ Each benchmark module provides:
   phase descriptors (instruction volume, access mixture, footprints,
   branch behaviour) are derived from those dimensions;
 * ``spec(problem_class)`` — the same workload captured as a declarative
-  :class:`~repro.workload.spec.WorkloadSpec` (the registry entry); and
-* a real NumPy mini-kernel in :mod:`repro.npb.kernels` implementing the
-  same algorithm at reduced scale, used to validate the numerics the
-  workload models represent.
+  :class:`~repro.workload.spec.WorkloadSpec` (the registry entry).
+
+Real NumPy mini-kernels of the same algorithms at reduced scale live
+with the tests (``tests/oracles/npb_kernels.py``), as a check of the
+numerics the workload models represent; the simulation never runs them.
 
 The paper experiments with class B of CG, MG, SP, FT, LU and EP
 (:data:`~repro.npb.suite.PAPER_BENCHMARKS`); IS and BT complete the suite.

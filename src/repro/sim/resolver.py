@@ -126,10 +126,6 @@ class _StepStructure:
     #: Sorted-chip index of each class's representative.
     class_chip: Tuple[int, ...]
 
-    @property
-    def n_classes(self) -> int:
-        return len(self.reps)
-
 
 def _classify(
     active: Sequence[ActiveContext], params: MachineParams

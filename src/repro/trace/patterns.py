@@ -141,9 +141,6 @@ class StreamingPattern(AccessPattern):
         steps = np.arange(n, dtype=np.int64) * self.stride_bytes
         return steps % footprint
 
-    def miss_rate_is_exact(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class RandomPattern(AccessPattern):

@@ -1,12 +1,12 @@
 """Real NumPy mini-kernels implementing the NAS algorithms.
 
-These run the actual numerics at reduced scale: they validate that the
-workload models describe real algorithms (reuse shapes, operation counts)
-and provide NPB-style verification values for the test suite.  They are
-not used inside the timing simulation — phase descriptors are derived
-from problem dimensions analytically — but several derivations (flops per
-point, footprint formulas) are cross-checked against these kernels in
-tests.
+These run the actual numerics at reduced scale, and
+``tests/test_kernels.py`` checks each one the way NPB's verification
+stage checks the full benchmark (CG convergence, MG residual reduction,
+FT's identity at zero diffusion, EP's acceptance statistics, IS
+sortedness, SP contraction, LU's SSOR convergence).  They are a
+test-side numerics check: the timing simulation never runs them, its
+phase descriptors are derived from the problem dimensions analytically.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ once, via Mattson's stack algorithm).  Tests validate the pattern
 closed forms against these measured curves.
 
 The stack algorithm here is the classic O(N·D) list-based treap-free
-variant — fine for the sampled streams (10^4-10^5) this package uses.
+variant — fine for the sampled streams (10^4-10^5) these tests use.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 import numpy as np
+
+from repro.trace.sampling import sample_mix
 
 
 @dataclass(frozen=True)
@@ -124,8 +126,6 @@ def miss_rate_curve_from_mix(
     evaluates the curve — the measurement the analytic
     ``mix.miss_rate(c, line)`` approximates in closed form.
     """
-    from repro.trace.sampling import sample_mix
-
     stream = sample_mix(
         mix, samples, samples, np.random.default_rng(seed)
     )

@@ -11,10 +11,8 @@ triples instead of raw byte sizes, cross-field constraints (L2 lines at
 least as large as L1 lines, L2 scope vs sharing) hold by construction,
 and anything the schema would reject simply cannot be drawn.
 
-Import this module only from tests: it requires ``hypothesis``, which is
-a ``test`` extra, so it is deliberately **not** re-exported from
-:mod:`repro.testing` (the fault harness there must stay importable from
-production code).
+It lives with the tests, not in the package, because it requires
+``hypothesis`` (a ``test`` extra) and no product code draws from it.
 """
 
 from __future__ import annotations

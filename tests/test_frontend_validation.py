@@ -12,12 +12,12 @@ from repro.cpu.branch import (
 from repro.machine.params import BranchPredictorParams, CacheParams
 from repro.mem.cache import cyclic_chain_miss_rate
 from repro.npb.suite import build_workload
-from repro.trace.instr_stream import (
+from repro.trace.patterns import loop_thrash_miss_rate
+from tests.oracles.instr_stream import (
     BranchStream,
     gen_branch_stream,
     gen_code_stream,
 )
-from repro.trace.patterns import loop_thrash_miss_rate
 
 
 class TestBranchStreamGenerator:

@@ -1,9 +1,15 @@
-"""Tests for the real NumPy mini-kernels (algorithm verification)."""
+"""Tests for the real NumPy mini-kernels (algorithm verification).
+
+Each class checks the algorithmic property NPB's verification stage
+checks for that benchmark.
+"""
+
+import math
 
 import numpy as np
 import pytest
 
-from repro.npb import kernels
+from tests.oracles import npb_kernels as kernels
 
 
 class TestCGKernel:
@@ -32,6 +38,10 @@ class TestCGKernel:
         zeta, rnorm = kernels.cg_solve(n=128, nonzer=4, niter=5)
         assert np.isfinite(zeta)
         assert rnorm < 1e-6  # 25 CG steps on a well-conditioned system
+        # The shifted eigenvalue estimate is positive and finite.
+        zeta, rnorm = kernels.cg_solve(n=256, nonzer=5, niter=8)
+        assert math.isfinite(zeta) and zeta > 0
+        assert rnorm < 1e-8
 
     def test_cg_deterministic(self):
         a = kernels.cg_solve(n=64, nonzer=3, niter=3, seed=9)
@@ -44,6 +54,7 @@ class TestMGKernel:
         r1 = kernels.mg_vcycle(n=16, cycles=1)
         r4 = kernels.mg_vcycle(n=16, cycles=4)
         assert r4 < r1
+        assert r4 / r1 < 0.35  # four V-cycles beat one by ~3x or more
 
     def test_power_of_two_required(self):
         with pytest.raises(ValueError):
@@ -68,6 +79,8 @@ class TestMGKernel:
 
 class TestFTKernel:
     def test_checksums_finite_and_decaying(self):
+        sums = kernels.ft_evolve(shape=(16, 16, 16), niter=4, alpha=1e-3)
+        assert np.all(np.isfinite(np.abs(sums)))
         sums = kernels.ft_evolve(shape=(8, 8, 8), niter=4, alpha=1e-2)
         mags = np.abs(sums)
         assert np.all(np.isfinite(mags))
@@ -76,8 +89,9 @@ class TestFTKernel:
         assert mags[0] != mags[-1]
 
     def test_zero_alpha_is_identity_evolution(self):
-        sums = kernels.ft_evolve(shape=(8, 8, 8), niter=3, alpha=0.0)
-        assert np.allclose(sums, sums[0])
+        for shape in ((8, 8, 8), (16, 16, 16)):
+            sums = kernels.ft_evolve(shape=shape, niter=3, alpha=0.0)
+            assert np.allclose(sums, sums[0])
 
     def test_fft_roundtrip(self):
         rng = np.random.default_rng(3)
@@ -89,13 +103,15 @@ class TestFTKernel:
 
 class TestEPKernel:
     def test_acceptance_rate_is_pi_over_four(self):
-        counts, accepted = kernels.ep_pairs(log2_pairs=18)
-        n = 1 << 18
-        assert accepted / n == pytest.approx(np.pi / 4, abs=0.01)
+        for log2_pairs in (17, 18):
+            counts, accepted = kernels.ep_pairs(log2_pairs=log2_pairs)
+            n = 1 << log2_pairs
+            assert accepted / n == pytest.approx(np.pi / 4, abs=0.01)
 
     def test_counts_sum_to_accepted(self):
-        counts, accepted = kernels.ep_pairs(log2_pairs=14)
-        assert counts.sum() == int(accepted)
+        for log2_pairs in (14, 17):
+            counts, accepted = kernels.ep_pairs(log2_pairs=log2_pairs)
+            assert counts.sum() == int(accepted)
 
     def test_gaussian_concentration(self):
         counts, _ = kernels.ep_pairs(log2_pairs=16)
@@ -105,14 +121,16 @@ class TestEPKernel:
 
 class TestISKernel:
     def test_sorted(self):
-        ranks, ok = kernels.is_sort(n_keys=4096, max_key=512)
-        assert ok
+        for n_keys, max_key in ((4096, 512), (8192, 1024)):
+            ranks, ok = kernels.is_sort(n_keys=n_keys, max_key=max_key)
+            assert ok
 
     def test_ranks_are_prefix_sums(self):
-        ranks, _ = kernels.is_sort(n_keys=4096, max_key=512)
-        assert ranks[0] == 0
-        assert np.all(np.diff(ranks) >= 0)
-        assert ranks[-1] <= 4096
+        for n_keys, max_key in ((4096, 512), (8192, 1024)):
+            ranks, _ = kernels.is_sort(n_keys=n_keys, max_key=max_key)
+            assert ranks[0] == 0
+            assert np.all(np.diff(ranks) >= 0)
+            assert ranks[-1] <= n_keys
 
 
 class TestSPKernel:
@@ -136,10 +154,15 @@ class TestSPKernel:
         n0 = kernels.sp_line_solve(n=12, iters=0)
         n2 = kernels.sp_line_solve(n=12, iters=2)
         assert n2 < n0
+        n0 = kernels.sp_line_solve(n=16, iters=0)
+        n3 = kernels.sp_line_solve(n=16, iters=3)
+        assert n3 < n0
 
 
 class TestLUKernel:
     def test_ssor_reduces_residual(self):
         r1 = kernels.lu_ssor_sweep(n=10, iters=1)
         r5 = kernels.lu_ssor_sweep(n=10, iters=5)
+        r6 = kernels.lu_ssor_sweep(n=10, iters=6)
         assert r5 < r1
+        assert r6 < r1

@@ -2,7 +2,7 @@
 
 Each property asserts a *relation between runs* (or an invariant of a
 single run) over randomized-but-valid machines drawn from
-:mod:`repro.testing.strategies` — not a point check against a golden
+``tests/strategies.py`` — not a point check against a golden
 number.  The laws:
 
 1.  spec determinism — identical trees produce identical fingerprints
@@ -48,12 +48,12 @@ from repro.mem.cache import SetAssocCache
 from repro.mem.tlb import TLB
 from repro.npb.suite import build_workload
 from repro.sim.engine import Engine
-from repro.testing.strategies import (
+from tests.oracles.replay import cache_run_misses, tlb_run_misses
+from tests.strategies import (
     machine_trees,
     nlevel_machine_trees,
     numa_topology_tables,
 )
-from tests.oracles.replay import cache_run_misses, tlb_run_misses
 
 WORKLOAD = build_workload("CG", "B")
 CONFIG = get_config("ht_off_2_1")

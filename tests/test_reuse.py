@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.machine.params import CacheParams
 from repro.mem.cache import simulate_miss_rate
 from repro.trace.patterns import AccessMix, RandomPattern, StreamingPattern
-from repro.trace.reuse import miss_rate_curve_from_mix, reuse_profile
+from tests.oracles.reuse import miss_rate_curve_from_mix, reuse_profile
 
 
 class TestReuseProfile:

@@ -16,13 +16,13 @@ from hypothesis import given, settings
 from repro.npb.common import ProblemClass
 from repro.npb.suite import ALL_BENCHMARKS, benchmark_spec
 from repro.npb import bt, cg, ep, ft, is_, lu, mg, sp
-from repro.testing.strategies import workload_specs, workload_trees
 from repro.workload.spec import (
     WORKLOAD_SCHEMA_VERSION,
     WorkloadSpec,
     WorkloadSpecError,
     load_workload_spec,
 )
+from tests.strategies import workload_specs, workload_trees
 
 _NAS_MODULES = {
     "BT": bt, "CG": cg, "EP": ep, "FT": ft,
