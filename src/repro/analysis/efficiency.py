@@ -117,12 +117,10 @@ def corun_degradation_matrix(
     cfg = get_config(config)
     half = max(cfg.n_contexts // 2, 1)
 
-    solo: Dict[str, float] = {}
-    for b in benches:
-        engine = study.engine(config)
-        solo[b] = engine.run_single(
-            study.workload(b), n_threads=half
-        ).runtime_seconds
+    solo = {
+        b: study.run(b, config, n_threads=half).runtime_seconds
+        for b in benches
+    }
 
     matrix = DegradationMatrix(config=config, benchmarks=benches)
     for a in benches:

@@ -11,7 +11,12 @@ This module promotes the memo to a process-wide cache keyed by a
 * the NAS problem class,
 * the scheduler policy name,
 * the OpenMP environment,
-* and the per-run key (benchmark/config, or pair).
+* and the per-run key (benchmark/config, or pair, plus any thread-count
+  or workload-scale variant).
+
+:func:`memo` is the one get/compute/put path; the experiments' other
+deterministic measurements (structural replays, the LMbench sweep) go
+through it too, fingerprinted with :func:`content_fingerprint`.
 
 Fingerprints are SHA-256 over stable ``repr`` forms, so equality is by
 content, not identity: any two studies configured the same share results.
@@ -59,7 +64,7 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple, TypeVar
 
 from repro.testing import faults
 
@@ -71,7 +76,9 @@ __all__ = [
     "QUARANTINE_MAX_ENTRIES",
     "RunCache",
     "configure",
+    "content_fingerprint",
     "get_cache",
+    "memo",
     "study_fingerprint",
 ]
 
@@ -104,6 +111,25 @@ QUARANTINE_MAX_AGE_S = 7 * 24 * 3600.0
 _MISS = object()
 
 
+def _canon(obj: Any) -> str:
+    """Stable text form of one fingerprint part: dataclasses by field
+    *values* (``dataclasses.asdict``), strings as themselves, anything
+    else by ``repr``."""
+    if obj is None:
+        return "None"
+    if type(obj) is str:
+        return obj
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return f"{type(obj).__name__}:{dataclasses.asdict(obj)!r}"
+    return repr(obj)
+
+
+def content_fingerprint(*parts: Any) -> str:
+    """SHA-256 content fingerprint of an ordered list of parts."""
+    payload = "\x1f".join(_canon(p) for p in parts)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
 def study_fingerprint(
     problem_class: Any,
     params: Any,
@@ -117,17 +143,7 @@ def study_fingerprint(
     ``dataclasses.asdict`` so field *values* — not object identity —
     drive the hash.
     """
-    def canon(obj: Any) -> str:
-        if obj is None:
-            return "None"
-        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-            return f"{type(obj).__name__}:{dataclasses.asdict(obj)!r}"
-        return repr(obj)
-
-    payload = "\x1f".join(
-        [canon(problem_class), canon(params), scheduler_name, canon(omp)]
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return content_fingerprint(problem_class, params, scheduler_name, omp)
 
 
 @dataclasses.dataclass
@@ -436,6 +452,28 @@ def _package_version() -> str:
     import repro
 
     return repro.__version__
+
+
+_T = TypeVar("_T")
+
+
+def memo(
+    fingerprint: str, key: Tuple[Any, ...], compute: Callable[[], _T]
+) -> _T:
+    """The value cached under ``(fingerprint, key)`` in the process-wide
+    cache; on a miss, ``compute()`` it and store it.
+
+    The one memo path: study runs and the experiments' other
+    deterministic measurements (structural replays, LMbench sweeps) all
+    go through it, so ``--no-cache`` / ``REPRO_NO_CACHE`` switch every
+    one of them off at once.
+    """
+    cache = get_cache()
+    value = cache.get(fingerprint, key)
+    if cache.is_miss(value):
+        value = compute()
+        cache.put(fingerprint, key, value)
+    return value
 
 
 # ----------------------------------------------------------------------

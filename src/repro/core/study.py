@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.speedup import SpeedupTable, speedup_table
-from repro.core.runcache import RunCache, get_cache, study_fingerprint
+from repro.core.runcache import RunCache, get_cache, memo, study_fingerprint
 from repro.machine.configurations import (
     MachineConfig,
     get_config,
@@ -76,14 +76,6 @@ class Study:
     def _cache(self) -> RunCache:
         return get_cache()
 
-    def _cached_run(self, key: Tuple[str, ...], compute) -> RunResult:
-        cache = self._cache
-        value = cache.get(self._fingerprint, key)
-        if cache.is_miss(value):
-            value = compute()
-            cache.put(self._fingerprint, key, value)
-        return value
-
     # ------------------------------------------------------------------
     def _workload_entry(self, benchmark: str) -> Tuple[str, Workload]:
         """Resolve a workload token to its (run-key token, workload).
@@ -140,7 +132,14 @@ class Study:
         )
 
     # ------------------------------------------------------------------
-    def run_key(self, benchmark: str, config: str = "serial") -> Tuple[str, ...]:
+    def run_key(
+        self,
+        benchmark: str,
+        config: str = "serial",
+        *,
+        n_threads: Optional[int] = None,
+        scale: float = 1.0,
+    ) -> Tuple:
         """The run-cache key :meth:`run` stores this run under.
 
         Exposed so content-addressed layers above the study — the serve
@@ -150,7 +149,16 @@ class Study:
         workload (name, path, or fingerprint token).
         """
         token, _ = self._workload_entry(benchmark)
-        return ("single", token, config)
+        key = ("single", token, config)
+        if n_threads is not None:
+            # A thread count the run gets anyway (the configuration's
+            # own, or the OpenMP environment's fixed one) keeps the
+            # default key, so the run shares the default run's entry.
+            omp = self.omp if self.omp is not None else OMPEnvironment()
+            threads = omp.resolve_threads(n_threads)
+            if threads != omp.resolve_threads(get_config(config).n_threads):
+                key += (("threads", threads),)
+        return _with_scale(key, scale)
 
     def cached_result(
         self, benchmark: str, config: str = "serial"
@@ -161,23 +169,45 @@ class Study:
         )
         return None if self._cache.is_miss(value) else value
 
-    def run(self, benchmark: str, config: str = "serial") -> RunResult:
-        """Run one benchmark under one configuration (cached)."""
-        token, wl = self._workload_entry(benchmark)
-        key = ("single", token, config)
-        return self._cached_run(
-            key, lambda: self.engine(config).run_single(wl)
+    def run(
+        self,
+        benchmark: str,
+        config: str = "serial",
+        *,
+        n_threads: Optional[int] = None,
+        scale: float = 1.0,
+    ) -> RunResult:
+        """Run one benchmark under one configuration (cached).
+
+        ``n_threads`` overrides the configuration's thread count and
+        ``scale`` multiplies the workload's instruction volume (short
+        trial slices).
+        """
+        key = self.run_key(
+            benchmark, config, n_threads=n_threads, scale=scale
+        )
+        wl = self.workload(benchmark)
+        return memo(
+            self._fingerprint,
+            key,
+            lambda: self.engine(config).run_single(
+                _scaled(wl, scale), n_threads=n_threads
+            ),
         )
 
     def run_pair(
-        self, bench_a: str, bench_b: str, config: str
+        self, bench_a: str, bench_b: str, config: str, *, scale: float = 1.0
     ) -> RunResult:
         """Run two benchmarks concurrently (threads split evenly)."""
         token_a, wl_a = self._workload_entry(bench_a)
         token_b, wl_b = self._workload_entry(bench_b)
-        key = ("pair", token_a, token_b, config)
-        return self._cached_run(
-            key, lambda: self.engine(config).run_pair(wl_a, wl_b)
+        key = _with_scale(("pair", token_a, token_b, config), scale)
+        return memo(
+            self._fingerprint,
+            key,
+            lambda: self.engine(config).run_pair(
+                _scaled(wl_a, scale), _scaled(wl_b, scale)
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -238,3 +268,12 @@ class Study:
     def paper_benchmarks() -> List[str]:
         """The six class-B benchmarks of the paper's study."""
         return list(PAPER_BENCHMARKS)
+
+
+def _with_scale(key: Tuple, scale: float) -> Tuple:
+    """A run key, extended by the workload scale when it is not 1."""
+    return key if scale == 1.0 else key + (("scale", scale),)
+
+
+def _scaled(workload: Workload, scale: float) -> Workload:
+    return workload if scale == 1.0 else workload.scaled(scale)

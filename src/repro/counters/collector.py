@@ -17,16 +17,16 @@ from repro.counters.events import Event
 
 
 class CounterSet:
-    """A bag of event counts supporting accumulation and merging.
+    """A bag of event counts supporting accumulation.
 
     A set is a dict while a run accumulates into it.  :meth:`freeze`
     packs a finished set into a shared event schema (one per distinct
     event order, interned) plus an ``array('d')`` of the values: the
     run cache keeps finished results for the life of the process, and a
-    dict per set was most of a cached result's memory.  Reads,
-    :meth:`merge`, ``==`` and pickling behave the same in both forms and
-    return the exact stored values; :meth:`add` on a frozen set unpacks
-    it first.
+    dict per set was most of a cached result's memory.  Reads, the
+    :class:`Collector` sums, ``==`` and pickling behave the same in both
+    forms and return the exact stored values; :meth:`add` on a frozen
+    set unpacks it first.
     """
 
     __slots__ = ("_counts", "_schema", "_values")
@@ -73,9 +73,6 @@ class CounterSet:
 
     def __getitem__(self, event: Event) -> float:
         return self.get(event)
-
-    def merge(self, other: "CounterSet") -> "CounterSet":
-        return _sum((self, other))
 
     def ratio(self, num: Event, den: Event) -> float:
         d = self.get(den)

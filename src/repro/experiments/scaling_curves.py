@@ -18,7 +18,6 @@ from repro.analysis.result import ExperimentResult
 from repro.core.context import RunContext, as_context
 from repro.core.study import Study
 from repro.machine.configurations import get_config
-from repro.sim.engine import Engine
 
 
 @dataclass
@@ -57,15 +56,14 @@ def run(
         result.thread_counts[cfg_name] = counts
     for bench in benches:
         serial = study.serial_runtime(bench)
-        workload = study.workload(bench)
-        result.curves[bench] = {}
-        for cfg_name in configs:
-            engine = Engine(get_config(cfg_name))
-            curve = []
-            for t in result.thread_counts[cfg_name]:
-                rt = engine.run_single(workload, n_threads=t).runtime_seconds
-                curve.append(serial / rt)
-            result.curves[bench][cfg_name] = curve
+        result.curves[bench] = {
+            cfg_name: [
+                serial
+                / study.run(bench, cfg_name, n_threads=t).runtime_seconds
+                for t in result.thread_counts[cfg_name]
+            ]
+            for cfg_name in configs
+        }
     return result
 
 

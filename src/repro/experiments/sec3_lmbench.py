@@ -8,11 +8,12 @@ one chip and 4.43 / 2.06 GB/s across both chips.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.analysis.report import format_table
 from repro.analysis.result import ExperimentResult
 from repro.core.context import RunContext, as_context
+from repro.core.runcache import content_fingerprint, memo
 from repro.core.study import Study
 from repro.lmbench import (
     BandwidthResult,
@@ -51,17 +52,28 @@ def run(
 ) -> Sec3Result:
     """Run the latency sweep and the four bandwidth measurements."""
     params = params if params is not None else as_context(ctx).machine_params()
-    points = lat_mem_rd(params=params)
+    points, bandwidth = memo(
+        content_fingerprint("lmbench", params),
+        ("sec3",),
+        lambda: _measure(params),
+    )
     return Sec3Result(
         latency_points=points,
         plateaus=latency_plateaus(points),
-        bandwidth={
-            "read_1chip": bw_mem(1, "read", params),
-            "write_1chip": bw_mem(1, "write", params),
-            "read_2chip": bw_mem(2, "read", params),
-            "write_2chip": bw_mem(2, "write", params),
-        },
+        bandwidth=bandwidth,
     )
+
+
+def _measure(
+    params: MachineParams,
+) -> Tuple[List[LatencyPoint], Dict[str, BandwidthResult]]:
+    """The latency sweep and the four bandwidth measurements."""
+    return lat_mem_rd(params=params), {
+        "read_1chip": bw_mem(1, "read", params),
+        "write_1chip": bw_mem(1, "write", params),
+        "read_2chip": bw_mem(2, "read", params),
+        "write_2chip": bw_mem(2, "write", params),
+    }
 
 
 def report(result: Sec3Result) -> str:

@@ -18,7 +18,6 @@ from repro.analysis.report import format_table
 from repro.analysis.result import ExperimentResult
 from repro.core.context import RunContext, as_context
 from repro.core.study import Study
-from repro.npb.suite import build_workload
 from repro.tuning.loop_tuner import LoopTuneResult, tune_loop_schedule
 from repro.tuning.placement_tuner import PlacementTuneResult, tune_placement
 
@@ -40,19 +39,14 @@ def run(
 ) -> TuningStudyResult:
     """Run both tuning studies."""
     ctx = as_context(ctx)
-    cls = ctx.problem_class if problem_class is None else problem_class
+    study = ctx.study(problem_class=problem_class)
     result = TuningStudyResult()
     for bench in benchmarks:
-        workload = build_workload(bench, cls)
         for cfg in loop_configs:
-            result.loop_rows.append(tune_loop_schedule(workload, cfg))
+            result.loop_rows.append(tune_loop_schedule(study, bench, cfg))
     for a, b in pairs:
         result.placement_rows.append(
-            tune_placement(
-                build_workload(a, cls),
-                build_workload(b, cls),
-                placement_config,
-            )
+            tune_placement(study, a, b, placement_config)
         )
     return result
 

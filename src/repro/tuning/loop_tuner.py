@@ -12,14 +12,11 @@ reference does with real trial timesteps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass, field, replace
+from typing import Dict
 
-from repro.machine.configurations import get_config
-from repro.machine.params import MachineParams
+from repro.core.study import Study
 from repro.openmp.env import OMPEnvironment, ScheduleKind
-from repro.sim.engine import Engine
-from repro.trace.phase import Workload
 
 #: Fraction of the workload used for each trial run.
 TRIAL_FRACTION = 0.02
@@ -43,17 +40,19 @@ class LoopTuneResult:
 
 
 def tune_loop_schedule(
-    workload: Workload,
+    study: Study,
+    benchmark: str,
     config_name: str,
-    params: Optional[MachineParams] = None,
     trial_fraction: float = TRIAL_FRACTION,
 ) -> LoopTuneResult:
     """Trial every schedule kind and commit to the fastest.
 
     Args:
-        workload: the benchmark to tune.
+        study: the machine, problem class, scheduler and OpenMP
+            environment to tune in; each trial runs in a variant study
+            that changes only the loop schedule.
+        benchmark: the benchmark (or workload token) to tune.
         config_name: machine configuration to tune on.
-        params: machine-parameter overrides.
         trial_fraction: fraction of the full workload each trial runs
             (trials are cheap slices, as in the runtime selector).
 
@@ -62,17 +61,21 @@ def tune_loop_schedule(
     """
     if not 0 < trial_fraction <= 1:
         raise ValueError("trial_fraction must be in (0, 1]")
-    config = get_config(config_name)
-    trial = workload.scaled(trial_fraction)
+    base = study.omp if study.omp is not None else OMPEnvironment()
     timings: Dict[ScheduleKind, float] = {}
     for kind in ScheduleKind:
-        engine = Engine(
-            config, params=params, omp=OMPEnvironment(schedule=kind)
+        trial = Study(
+            study.problem_class,
+            params=study.params,
+            scheduler=study.scheduler_name,
+            omp=replace(base, schedule=kind),
         )
-        timings[kind] = engine.run_single(trial).runtime_seconds
+        timings[kind] = trial.run(
+            benchmark, config_name, scale=trial_fraction
+        ).runtime_seconds
     chosen = min(timings, key=timings.get)
     return LoopTuneResult(
-        workload=workload.name,
+        workload=study.workload(benchmark).name,
         config=config_name,
         chosen=chosen,
         trial_seconds=timings,

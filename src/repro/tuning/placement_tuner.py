@@ -12,14 +12,9 @@ to the winner, and reports the predicted full-run outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from repro.machine.configurations import get_config
-from repro.machine.params import MachineParams
-from repro.osmodel.process import ProgramSpec
-from repro.osmodel.scheduler import make_scheduler
-from repro.sim.engine import Engine
-from repro.trace.phase import Workload
+from repro.core.study import Study
 
 #: Placement policies the tuner samples.
 CANDIDATE_POLICIES = ("linux_default", "gang", "symbiosis")
@@ -57,42 +52,46 @@ class PlacementTuneResult:
 
 
 def tune_placement(
-    workload_a: Workload,
-    workload_b: Workload,
+    study: Study,
+    benchmark_a: str,
+    benchmark_b: str,
     config_name: str,
-    params: Optional[MachineParams] = None,
     policies: Sequence[str] = CANDIDATE_POLICIES,
     trial_fraction: float = TRIAL_FRACTION,
 ) -> PlacementTuneResult:
     """Sample placement policies on trial intervals; commit to the best.
 
-    Returns the chosen policy plus both trial scores and full-run
-    makespans (so callers can compute the tuner's regret).
+    Each policy runs the pair in a variant of ``study`` that changes
+    only the scheduler.  Returns the chosen policy plus both trial
+    scores and full-run makespans (so callers can compute the tuner's
+    regret).
     """
     if not 0 < trial_fraction <= 1:
         raise ValueError("trial_fraction must be in (0, 1]")
-    config = get_config(config_name)
-    per_prog = max(config.n_contexts // 2, 1)
 
-    def run_with(policy: str, scale: float) -> float:
-        engine = Engine(
-            config, params=params, scheduler=make_scheduler(policy)
+    variants = {
+        p: Study(
+            study.problem_class, params=study.params, scheduler=p,
+            omp=study.omp,
         )
-        specs = [
-            ProgramSpec(workload=workload_a.scaled(scale),
-                        n_threads=per_prog, program_id=0),
-            ProgramSpec(workload=workload_b.scaled(scale),
-                        n_threads=per_prog, program_id=1),
-        ]
-        return engine.run(specs).runtime_seconds
+        for p in policies
+    }
+
+    def makespan(policy: str, scale: float) -> float:
+        return variants[policy].run_pair(
+            benchmark_a, benchmark_b, config_name, scale=scale
+        ).runtime_seconds
 
     trial_scores = {
-        p: 1.0 / run_with(p, trial_fraction) for p in policies
+        p: 1.0 / makespan(p, trial_fraction) for p in policies
     }
     chosen = max(trial_scores, key=trial_scores.get)
-    full_makespans = {p: run_with(p, 1.0) for p in policies}
+    full_makespans = {p: makespan(p, 1.0) for p in policies}
     return PlacementTuneResult(
-        workloads=(workload_a.name, workload_b.name),
+        workloads=(
+            study.workload(benchmark_a).name,
+            study.workload(benchmark_b).name,
+        ),
         config=config_name,
         chosen=chosen,
         trial_scores=trial_scores,

@@ -21,12 +21,13 @@ class TestCounterSet:
             cs.add(Event.CYCLES, -1.0)
 
     def test_merge(self):
-        a = CounterSet({Event.CYCLES: 10.0})
-        b = CounterSet({Event.CYCLES: 5.0, Event.INSTR_RETIRED: 2.0})
-        m = a.merge(b)
+        col = Collector()
+        col.add_many(0, "a", {Event.CYCLES: 10.0})
+        col.add_many(0, "b", {Event.CYCLES: 5.0, Event.INSTR_RETIRED: 2.0})
+        m = col.for_program(0)
         assert m[Event.CYCLES] == 15.0
         assert m[Event.INSTR_RETIRED] == 2.0
-        assert a[Event.CYCLES] == 10.0  # merge is pure
+        assert col.for_context("a")[Event.CYCLES] == 10.0  # sums are pure
 
     def test_ratio(self):
         cs = CounterSet({Event.L1D_MISS: 5.0, Event.L1D_ACCESS: 50.0})
@@ -50,9 +51,14 @@ class TestFrozenCounterSet:
         assert frozen[Event.L2_MISS] == 0.0
         assert frozen.ratio(Event.L1D_MISS, Event.L1D_ACCESS) == \
             self.COUNTS[Event.L1D_MISS] / 7.5
-        merged = frozen.merge(CounterSet({Event.CYCLES: 1.0}))
-        assert merged == CounterSet(self.COUNTS).merge(
-            CounterSet({Event.CYCLES: 1.0}))
+
+        def program_sum(freeze):
+            col = Collector()
+            col.add_many(0, "a", self.COUNTS)
+            col.add_many(0, "b", {Event.CYCLES: 1.0})
+            return (col.freeze() if freeze else col).for_program(0)
+
+        assert program_sum(freeze=True) == program_sum(freeze=False)
         assert frozen.freeze() is frozen
 
     def test_sets_with_one_event_order_share_a_schema(self):

@@ -373,3 +373,62 @@ class TestQuarantineRetention:
         assert delta.read_retries == 2
         assert delta.evicted == 1
         assert set(delta.as_dict()) >= {"read_retries", "evicted"}
+
+
+class TestWarmPipeline:
+    """A warm run of the experiments that simulate outside the study
+    runs (trial slices, thread sweeps, structural replays, LMbench)
+    simulates nothing: every result comes from the disk tier."""
+
+    IDS = ["validation", "tuning", "scaling-curves", "sec3-lmbench"]
+
+    def _counted_run(self, ctx):
+        from repro.experiments import pipeline, sec3_lmbench
+        from repro.sim.engine import Engine
+        from repro.sim.structural import StructuralCoSimulator
+
+        calls = {}
+        configure(reset=True)  # a new process: empty memory tier
+        with pytest.MonkeyPatch.context() as mp:
+            for owner, name in [
+                (Engine, "run"),
+                (StructuralCoSimulator, "measure"),
+                (sec3_lmbench, "lat_mem_rd"),
+            ]:
+                mp.setattr(owner, name, _counting(calls, getattr(owner, name)))
+            result = pipeline.run_pipeline(ctx, only=self.IDS)
+        assert result.ok
+        return result, calls
+
+    def test_warm_run_simulates_nothing(self, tmp_path):
+        from repro.core.context import RunContext
+
+        def ctx(**kw):
+            return RunContext(jobs=1, **kw)
+
+        cache_dir = tmp_path / "cache"
+        cold, cold_calls = self._counted_run(ctx(cache_dir=cache_dir))
+        assert set(cold_calls) == {"run", "measure", "lat_mem_rd"}
+        warm, warm_calls = self._counted_run(ctx(cache_dir=cache_dir))
+        assert warm_calls == {}
+        for exp_id in self.IDS:
+            cache = warm.manifest["experiments"][exp_id]["cache"]
+            assert cache["misses"] == 0, (exp_id, cache)
+        uncached, uncached_calls = self._counted_run(ctx(cache_enabled=False))
+        assert set(uncached_calls) == set(cold_calls)
+        for run in (warm, uncached):
+            for exp_id in self.IDS:
+                assert run.records[exp_id].text == cold.records[exp_id].text
+                assert run.records[exp_id].result.to_json() == (
+                    cold.records[exp_id].result.to_json()
+                )
+
+
+def _counting(calls, original):
+    """``original``, counting its calls in ``calls`` by name."""
+
+    def wrapper(*args, **kwargs):
+        calls[original.__name__] = calls.get(original.__name__, 0) + 1
+        return original(*args, **kwargs)
+
+    return wrapper

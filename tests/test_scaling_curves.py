@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.context import RunContext
 from repro.experiments import scaling_curves
 
 
@@ -38,3 +39,17 @@ class TestScalingCurves:
         text = scaling_curves.report(result)
         assert "Scalability on ht_off_4_2" in text
         assert "knee" in text
+
+
+class TestMachineFollowsContext:
+    """Every point of a curve runs on the context's machine, so the
+    full-thread point is the study's own speedup (the same run-cache
+    entry as fig3's)."""
+
+    @pytest.mark.parametrize("machine", [None, "cascadelake-2s-numa"])
+    def test_full_thread_point_is_the_study_speedup(self, machine):
+        ctx = RunContext(machine=machine)
+        curves = scaling_curves.run(ctx, benchmarks=["CG"])
+        study = ctx.study()
+        for cfg in ("ht_off_4_2", "ht_on_8_2"):
+            assert curves.curves["CG"][cfg][-1] == study.speedup("CG", cfg)

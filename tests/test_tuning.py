@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.npb.suite import build_workload
+from repro.core.context import RunContext
+from repro.core.study import Study
 from repro.openmp.env import ScheduleKind
 from repro.openmp.constructs import (
     critical_section_cycles,
@@ -14,32 +15,28 @@ from repro.tuning.placement_tuner import tune_placement
 
 
 class TestLoopTuner:
-    def test_imbalanced_workload_prefers_self_scheduling(self):
-        lu = build_workload("LU", "B")
-        result = tune_loop_schedule(lu, "ht_off_4_2")
+    def test_imbalanced_workload_prefers_self_scheduling(self, study):
+        result = tune_loop_schedule(study, "LU", "ht_off_4_2")
         assert result.chosen in (ScheduleKind.GUIDED, ScheduleKind.DYNAMIC)
         assert result.gain_over_static > 0
 
-    def test_regular_workload_prefers_static(self):
-        sp = build_workload("SP", "B")
-        result = tune_loop_schedule(sp, "ht_off_4_2")
+    def test_regular_workload_prefers_static(self, study):
+        result = tune_loop_schedule(study, "SP", "ht_off_4_2")
         assert result.chosen is ScheduleKind.STATIC
 
-    def test_all_schedules_trialed(self):
-        result = tune_loop_schedule(build_workload("EP", "B"), "ht_off_2_1")
+    def test_all_schedules_trialed(self, study):
+        result = tune_loop_schedule(study, "EP", "ht_off_2_1")
         assert set(result.trial_seconds) == set(ScheduleKind)
 
-    def test_invalid_fraction(self):
+    def test_invalid_fraction(self, study):
         with pytest.raises(ValueError):
-            tune_loop_schedule(build_workload("EP", "B"), "serial",
-                               trial_fraction=0.0)
+            tune_loop_schedule(study, "EP", "serial", trial_fraction=0.0)
 
 
 class TestPlacementTuner:
     @pytest.fixture(scope="class")
     def cg_cg(self):
-        cg = build_workload("CG", "B")
-        return tune_placement(cg, cg, "ht_on_8_2")
+        return tune_placement(Study("B"), "CG", "CG", "ht_on_8_2")
 
     def test_gang_wins_homogeneous_pair(self, cg_cg):
         """Two CG copies want same-program siblings (shared code and
@@ -55,10 +52,9 @@ class TestPlacementTuner:
             "linux_default", "gang", "symbiosis"
         }
 
-    def test_invalid_fraction(self):
-        cg = build_workload("CG", "B")
+    def test_invalid_fraction(self, study):
         with pytest.raises(ValueError):
-            tune_placement(cg, cg, "ht_on_8_2", trial_fraction=2.0)
+            tune_placement(study, "CG", "CG", "ht_on_8_2", trial_fraction=2.0)
 
 
 class TestConstructOverheads:
@@ -86,3 +82,28 @@ class TestConstructOverheads:
         r = measure_construct_overheads("ht_off_4_2")
         us = r.in_microseconds(2.8e9)
         assert us["parallel"] == pytest.approx(r.parallel / 2800.0)
+
+
+class TestTuningFollowsContext:
+    """The tuning study runs on the context's machine (``--machine``)."""
+
+    def test_runs_on_the_context_machine(self):
+        from repro.experiments import tuning_study
+
+        ctx = RunContext(machine="cascadelake-2s-numa")
+        kwargs = dict(
+            benchmarks=("CG",), loop_configs=("ht_off_4_2",),
+            pairs=(("CG", "FT"),),
+        )
+        result = tuning_study.run(ctx, **kwargs)
+        default = tuning_study.run(RunContext(), **kwargs)
+        placement = result.placement_rows[0]
+        assert placement.full_makespans["linux_default"] == (
+            ctx.study().run_pair("CG", "FT", "ht_on_8_2").runtime_seconds
+        )
+        assert placement.full_makespans != (
+            default.placement_rows[0].full_makespans
+        )
+        assert result.loop_rows[0].trial_seconds != (
+            default.loop_rows[0].trial_seconds
+        )
