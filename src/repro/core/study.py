@@ -231,20 +231,35 @@ class Study:
             self.serial_runtime(bench_b) / r.program(1).runtime_seconds,
         )
 
+    def speedup_table_key(
+        self,
+        benchmarks: Optional[Sequence[str]] = None,
+        configs: Optional[Sequence[str]] = None,
+    ) -> Tuple:
+        """The run-cache key :meth:`speedup_table` stores its table under:
+        each row label with its run-key token (a spec edit re-keys it),
+        then the configurations."""
+        rows = tuple(
+            (b, self.workload_key(b)) for b in benchmarks or PAPER_BENCHMARKS
+        )
+        return ("speedup_table", rows, tuple(configs or self.paper_configs()))
+
     def speedup_table(
         self,
         benchmarks: Optional[Sequence[str]] = None,
         configs: Optional[Sequence[str]] = None,
     ) -> SpeedupTable:
-        """Speedups of every benchmark under every configuration."""
-        benches = list(benchmarks or PAPER_BENCHMARKS)
-        cfgs = list(configs or [c.name for c in multithreaded_configs()])
-        serial = {b: self.serial_runtime(b) for b in benches}
-        runtimes = {
-            b: {c: self.run(b, c).runtime_seconds for c in cfgs}
-            for b in benches
-        }
-        return speedup_table(serial, runtimes)
+        """Speedups of every benchmark under every configuration, cached
+        as one entry (so a warm reader loads no run); do not mutate it."""
+        key = self.speedup_table_key(benchmarks, configs)
+        benches, cfgs = [b for b, _ in key[1]], key[2]
+        return memo(self._fingerprint, key, lambda: speedup_table(
+            {b: self.serial_runtime(b) for b in benches},
+            {
+                b: {c: self.run(b, c).runtime_seconds for c in cfgs}
+                for b in benches
+            },
+        ))
 
     # ------------------------------------------------------------------
     def describe(self) -> Dict[str, str]:

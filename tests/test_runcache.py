@@ -424,6 +424,38 @@ class TestWarmPipeline:
                 )
 
 
+class TestWarmSweep:
+    def test_warm_sweep_reads_only_the_tables(self, tmp_path):
+        """A warm sensitivity sweep reads one speedup-table entry per
+        study (the baseline plus one per perturbation), not the 48 runs
+        behind each table."""
+        from repro.experiments.sensitivity_study import (
+            _cmp_avg_speedup,
+            _sp_ht8_speedup,
+            _sp_only_winner,
+            _top_two_architectures,
+        )
+        from repro.sim.sensitivity import PERTURBABLE, SweepSpec, sweep_many
+
+        specs = [
+            SweepSpec(_sp_ht8_speedup, _sp_only_winner, "F1"),
+            SweepSpec(_cmp_avg_speedup, _top_two_architectures, "F2"),
+        ]
+
+        def sweep():
+            configure(reset=True, disk_dir=tmp_path)  # empty memory tier
+            results = sweep_many(
+                specs, parameters=PERTURBABLE[:1], problem_class="S", jobs=1
+            )
+            return results, get_cache().stats
+
+        cold, cold_stats = sweep()
+        warm, warm_stats = sweep()
+        assert (warm_stats.disk_hits, warm_stats.misses) == (3, 0)
+        assert cold_stats.misses == 3 * (48 + 1)
+        assert warm == cold
+
+
 def _counting(calls, original):
     """``original``, counting its calls in ``calls`` by name."""
 

@@ -51,6 +51,140 @@ class TestStudy:
         assert s.engine("ht_on_8_2").scheduler.name == "gang"
 
 
+class TestSpeedupTableMemo:
+    """The speedup table is one run-cache entry under the study's
+    fingerprint, so a warm reader loads 42 floats instead of the 48
+    runs behind them."""
+
+    CFGS = ["ht_off_2_1", "ht_off_4_2"]
+
+    @pytest.fixture
+    def cache(self, monkeypatch, tmp_path):
+        from repro.core import runcache
+
+        cache = runcache.RunCache(disk_dir=tmp_path / "cache")
+        monkeypatch.setattr(runcache, "_global_cache", cache)
+        return cache
+
+    def test_default_key_is_pinned(self):
+        from repro.core.runcache import RunCache
+
+        s = Study("B")
+        key = s.speedup_table_key()
+        assert key == (
+            "speedup_table",
+            (("CG", "CG"), ("MG", "MG"), ("SP", "SP"),
+             ("FT", "FT"), ("LU", "LU"), ("EP", "EP")),
+            ("ht_on_2_1", "ht_off_2_1", "ht_on_4_1", "ht_off_2_2",
+             "ht_on_4_2", "ht_off_4_2", "ht_on_8_2"),
+        )
+        assert s.speedup_table_key(
+            Study.paper_benchmarks(), Study.paper_configs()
+        ) == key
+        assert RunCache()._entry_key(s.fingerprint, key) == (
+            "735bd1c02c34a4c5bed3673cd9050ae93a4ff0349b752f7748b65ecd49c6e4cb"
+        )
+
+    def test_warm_table_is_one_disk_read(self, cache, monkeypatch):
+        from repro.sim.engine import Engine
+
+        s = Study("S")
+        cold = s.speedup_table()
+        cache.clear()  # a new process: empty memory tier
+        calls = []
+
+        def counting(owner):
+            original = owner.run
+
+            def run(*args, **kwargs):
+                calls.append(owner.__name__)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, "run", run)
+
+        counting(Study)
+        counting(Engine)
+        before = cache.stats.snapshot()
+        warm = Study("S").speedup_table()
+        delta = cache.stats.since(before)
+        assert calls == []
+        assert (delta.disk_hits, delta.memory_hits, delta.misses) == (1, 0, 0)
+        assert warm == cold and warm is not cold
+
+    def test_axes_get_their_own_entries(self, cache):
+        s = Study("S")
+        tables = {
+            (benches, cfgs): s.speedup_table(list(benches), list(cfgs))
+            for benches, cfgs in [
+                (("CG", "EP"), tuple(self.CFGS)),
+                (("EP", "CG"), tuple(self.CFGS)),
+                (("cg", "EP"), tuple(self.CFGS)),
+                (("CG", "EP"), tuple(reversed(self.CFGS))),
+                (("CG", "EP"), ("ht_off_2_1",)),
+            ]
+        }
+        keys = {s.speedup_table_key(list(b), list(c)) for b, c in tables}
+        assert len(keys) == len(tables)
+        for (benches, cfgs), table in tables.items():
+            assert list(table.values) == list(benches)
+            assert table.configs == list(cfgs)
+        assert tables[(("cg", "EP"), tuple(self.CFGS))].get(
+            "cg", "ht_off_4_2"
+        ) == s.speedup("CG", "ht_off_4_2")
+
+    def test_spec_edit_recomputes_the_table(
+        self, cache, monkeypatch, tmp_path
+    ):
+        import json
+        import os
+
+        spec = tmp_path / "specs" / "mytriad.json"
+        spec.parent.mkdir()
+        monkeypatch.setenv("REPRO_WORKLOADS_DIR", str(spec.parent))
+
+        def write(scale):
+            spec.write_text(json.dumps({
+                "schema": 1, "name": "mytriad", "base": "triad",
+                "workload": {"scale": scale},
+            }))
+            # Force a visible mtime change even on coarse filesystems.
+            st = spec.stat()
+            os.utime(spec, ns=(st.st_atime_ns, st.st_mtime_ns + 10**6))
+
+        write(0.5)
+        before = Study("B")
+        table = before.speedup_table(["mytriad"], self.CFGS)
+        write(0.25)
+        after = Study("B")
+        assert after.speedup_table_key(["mytriad"], self.CFGS) != (
+            before.speedup_table_key(["mytriad"], self.CFGS)
+        )
+        misses = cache.stats.misses
+        assert after.speedup_table(["mytriad"], self.CFGS) != table
+        assert cache.stats.misses > misses
+
+    def test_pipeline_consumers_leave_the_shared_table_intact(self, cache):
+        from repro.analysis.speedup import speedup_table
+        from repro.core.context import RunContext
+        from repro.experiments import pipeline
+
+        ctx = RunContext(jobs=1)
+        result = pipeline.run_pipeline(ctx, only=["fig3", "table2"])
+        assert result.ok
+        s = ctx.study()
+        assert result.records["fig3"].result.table is s.speedup_table()
+        benches = Study.paper_benchmarks()
+        fresh = speedup_table(
+            {b: s.serial_runtime(b) for b in benches},
+            {
+                b: {c: s.run(b, c).runtime_seconds
+                    for c in Study.paper_configs()}
+                for b in benches
+            },
+        )
+        assert s.speedup_table() == fresh
+
+
 class TestRunKeys:
     """Run-cache addresses.  Disk entries written by earlier versions
     and the serve daemon's dedup keys depend on these exact values, so
