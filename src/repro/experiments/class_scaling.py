@@ -16,10 +16,11 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.analysis.report import format_table
 from repro.analysis.result import ExperimentResult
+from repro.analysis.speedup import average_speedup_by_architecture
 from repro.core.context import RunContext, as_context
 from repro.core.study import Study
 from repro.machine.configurations import Architecture
-from repro.experiments import table2_avg_speedup
+from repro.experiments.table2_avg_speedup import Table2Result
 from repro.sim.parallel import parallel_map
 
 
@@ -41,9 +42,11 @@ class ClassScalingResult(ExperimentResult):
 def _class_summary(task):
     """Headline comparisons for one problem class (parallel worker)."""
     ctx, cls, benchmarks = task
-    study = ctx.study(problem_class=cls)
-    t2 = table2_avg_speedup.run(study, benchmarks=benchmarks)
-    table = study.speedup_table(benchmarks=benchmarks)
+    table = ctx.study(problem_class=cls).speedup_table(benchmarks=benchmarks)
+    t2 = Table2Result(
+        averages=average_speedup_by_architecture(table),
+        config_order=table.configs,
+    )
     winners = [
         b
         for b in table.benchmarks

@@ -49,6 +49,7 @@ was SIGKILLed before any manifest existed.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 import traceback as _traceback
@@ -57,7 +58,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.context import RunContext, as_context
-from repro.core.runcache import get_cache
+from repro.core.runcache import CacheStats, get_cache
 from repro.experiments import registry
 from repro import supervise
 from repro.sim.parallel import FallbackReport, parallel_map, resolve_jobs
@@ -666,6 +667,12 @@ def _build_manifest(
         status = "complete"
     else:
         status = "partial"
+    # The totals sum the rows: under --jobs N each row counts its own
+    # worker's lookups, which this process's cache never saw.
+    totals = CacheStats(**{
+        f.name: sum(rec.cache.get(f.name, 0) for rec in out.records.values())
+        for f in dataclasses.fields(CacheStats)
+    })
     budget = ctx.budget
     pc = ctx.problem_class
     return {
@@ -678,7 +685,7 @@ def _build_manifest(
         "cache": {
             "enabled": cache.enabled,
             "disk_dir": str(cache.disk_dir) if cache.disk_dir else None,
-            "totals": cache.stats.as_dict(),
+            "totals": totals.as_dict(),
         },
         "failures": {
             exp_id: failure.as_dict()

@@ -19,27 +19,25 @@ from typing import Optional, Union
 
 from repro.analysis.report import format_table
 from repro.analysis.result import ExperimentResult
+from repro.analysis.speedup import (
+    SpeedupTable,
+    average_speedup_by_architecture,
+)
 from repro.core.context import RunContext, as_context
-from repro.core.runcache import get_cache
 from repro.core.study import Study
 from repro.machine.configurations import Architecture
 from repro.sim.sensitivity import SensitivityResult, SweepSpec, sweep_many
 
 
-def _sp_ht8_speedup(study: Study) -> float:
-    # Cached, the table the findings read is one entry; uncached, 48 runs.
-    if get_cache().enabled:
-        return study.speedup_table().get("SP", "ht_on_8_2")
-    return study.speedup("SP", "ht_on_8_2")
+def _sp_ht8_speedup(table: SpeedupTable) -> float:
+    return table.get("SP", "ht_on_8_2")
 
 
-def _cmp_avg_speedup(study: Study) -> float:
-    # Module-level (not a lambda) so the parallel sweep can pickle it.
-    return study.speedup_table().column_average("ht_off_4_2")
+def _cmp_avg_speedup(table: SpeedupTable) -> float:
+    return table.column_average("ht_off_4_2")
 
 
-def _sp_only_winner(study: Study) -> bool:
-    table = study.speedup_table()
+def _sp_only_winner(table: SpeedupTable) -> bool:
     winners = [
         b
         for b in table.benchmarks
@@ -48,10 +46,7 @@ def _sp_only_winner(study: Study) -> bool:
     return winners == ["SP"]
 
 
-def _top_two_architectures(study: Study) -> bool:
-    from repro.analysis.speedup import average_speedup_by_architecture
-
-    table = study.speedup_table()
+def _top_two_architectures(table: SpeedupTable) -> bool:
     avgs = average_speedup_by_architecture(table)
     ranked = sorted(avgs, key=lambda a: avgs[a], reverse=True)
     return set(ranked[:2]) == {
@@ -72,12 +67,12 @@ def run(
     jobs: Optional[int] = None,
 ) -> SensitivityStudyResult:
     ctx = as_context(ctx)
-    cls = ctx.problem_class if problem_class is None else problem_class
-    if not isinstance(cls, str):
-        cls = cls.value
     jobs = jobs if jobs is not None else ctx.jobs
-    # Both findings are evaluated on the same perturbation grid in one
-    # pass, so each perturbed study is simulated once, not twice.
+    # Both findings read the same speedup table per sweep point, so each
+    # perturbed study is simulated once.  The perturbations derive from
+    # the context's study (its machine, scheduler and OpenMP environment)
+    # but are built outside the context, so they stay out of the
+    # manifest's study fingerprints.
     f1, f2 = sweep_many(
         [
             SweepSpec(
@@ -91,8 +86,8 @@ def run(
                 metric_name="CMP-based SMP average speedup",
             ),
         ],
-        problem_class=cls,
         jobs=jobs,
+        study=ctx.study(problem_class=problem_class),
     )
     return SensitivityStudyResult(f1=f1, f2=f2)
 

@@ -13,38 +13,27 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.analysis.speedup import SpeedupTable
 from repro.core.study import Study
-from repro.machine.params import MachineParams
 from repro.machine.registry import default_params
 from repro.machine.spec import SpecOverride
 
-#: (display name, path to the field) for every scalar knob we perturb.
-PERTURBABLE: List[Tuple[str, Tuple[str, ...]]] = [
-    ("memory_latency_ns", ("memory_latency_ns",)),
-    ("issue_width", ("core", "issue_width")),
-    ("mlp", ("core", "mlp")),
-    ("mlp_smt_share", ("core", "mlp_smt_share")),
-    ("smt_partition_penalty", ("core", "smt_partition_penalty")),
-    ("trace_cache_miss_penalty", ("core", "trace_cache_miss_penalty")),
-    ("chip_read_bw", ("bus", "chip_read_bw")),
-    ("system_read_bw", ("bus", "system_read_bw")),
-    ("snoop_overhead_per_agent", ("bus", "snoop_overhead_per_agent")),
-    ("snoop_overhead_cross_chip", ("bus", "snoop_overhead_cross_chip")),
-    ("prefetch_max_coverage", ("bus", "prefetch_max_coverage")),
-    ("mispredict_penalty_cycles", ("branch", "mispredict_penalty_cycles")),
+#: Dotted path of every scalar knob we perturb; a row's ``parameter``
+#: label is the path's last segment.
+PERTURBABLE: List[str] = [
+    "memory_latency_ns",
+    "core.issue_width",
+    "core.mlp",
+    "core.mlp_smt_share",
+    "core.smt_partition_penalty",
+    "core.trace_cache_miss_penalty",
+    "bus.chip_read_bw",
+    "bus.system_read_bw",
+    "bus.snoop_overhead_per_agent",
+    "bus.snoop_overhead_cross_chip",
+    "bus.prefetch_max_coverage",
+    "branch.mispredict_penalty_cycles",
 ]
-
-
-def perturb_params(
-    base: MachineParams, path: Tuple[str, ...], scale: float
-) -> MachineParams:
-    """Return params with the field at ``path`` multiplied by ``scale``.
-
-    A thin wrapper over the spec layer's :class:`SpecOverride`, kept for
-    its established signature; a typo'd path raises instead of silently
-    perturbing nothing.
-    """
-    return SpecOverride.scaled(".".join(path), scale).apply_params(base)
 
 
 @dataclass(frozen=True)
@@ -90,108 +79,78 @@ class SensitivityResult:
         return r.parameter, r.elasticity
 
 
-#: One metric/finding pair to evaluate during a sweep.
+#: One metric/finding pair, evaluated on each sweep point's speedup table.
 @dataclass(frozen=True)
 class SweepSpec:
-    metric: Callable[[Study], float]
-    finding: Callable[[Study], bool]
+    metric: Callable[[SpeedupTable], float]
+    finding: Callable[[SpeedupTable], bool]
     metric_name: str
 
 
-def _eval_perturbation(task) -> List[Tuple[float, bool]]:
-    """Evaluate every spec on one perturbed study (parallel worker).
-
-    Module-level so the process pool can pickle it; each worker builds
-    the perturbed study itself and all specs share the same study —
-    hence the same run-cache entries — within the task.
-    """
-    specs, problem_class, path, scale = task
-    study = Study(
+def _perturbed_table(task) -> SpeedupTable:
+    """The speedup table of a study whose field at ``path`` is scaled
+    by ``scale`` (parallel worker)."""
+    problem_class, params, scheduler, omp, path, scale = task
+    return Study(
         problem_class,
-        params=perturb_params(default_params(), path, scale),
-    )
-    return [(spec.metric(study), spec.finding(study)) for spec in specs]
+        params=SpecOverride.scaled(path, scale).apply_params(params),
+        scheduler=scheduler,
+        omp=omp,
+    ).speedup_table()
 
 
 def sweep_many(
     specs: Sequence[SweepSpec],
     scales: Sequence[float] = (0.8, 1.25),
-    parameters: Optional[Sequence[Tuple[str, Tuple[str, ...]]]] = None,
+    parameters: Optional[Sequence[str]] = None,
     problem_class: str = "B",
     jobs: Optional[int] = None,
+    study: Optional[Study] = None,
 ) -> List[SensitivityResult]:
     """Perturb each parameter once and evaluate *all* specs on it.
 
-    Evaluating the findings together means each perturbed study is built
-    (and simulated) once rather than once per finding; the perturbation
-    grid optionally fans out over a process pool.
+    Each sweep point (the baseline and every perturbation) builds its
+    study's speedup table once, and every spec reads that one table; the
+    perturbation grid optionally fans out over a process pool.
 
     Args:
-        specs: metric/finding pairs; for the parallel path their
-            callables must be module-level functions (picklable) —
-            otherwise the sweep silently runs serially.
+        specs: metric/finding pairs.
         scales: multiplicative perturbations applied to each parameter.
-        parameters: knobs to perturb (default: :data:`PERTURBABLE`).
-        problem_class: NAS class for the underlying runs.
+        parameters: dotted paths to perturb (default: :data:`PERTURBABLE`).
+        problem_class: NAS class of the default study.
         jobs: process-pool width (None = the global default, 1 = serial).
+        study: the study to perturb, keeping its scheduler and OpenMP
+            environment (default: the stock machine at ``problem_class``).
     """
     from repro.sim.parallel import parallel_map
 
-    params = list(parameters or PERTURBABLE)
-    grid = [
-        (name, path, scale) for name, path in params for scale in scales
-    ]
-    specs = tuple(specs)
-    base_study = Study(problem_class)
-    results = [
-        SensitivityResult(
-            metric_name=spec.metric_name, baseline=spec.metric(base_study)
-        )
-        for spec in specs
-    ]
-    evaluated = parallel_map(
-        _eval_perturbation,
-        [(specs, problem_class, path, scale) for _, path, scale in grid],
+    base = study if study is not None else Study(problem_class)
+    grid = [(path, scale) for path in parameters or PERTURBABLE
+            for scale in scales]
+    baseline = base.speedup_table()
+    tables = parallel_map(
+        _perturbed_table,
+        [
+            (base.problem_class, base.params or default_params(),
+             base.scheduler_name, base.omp, path, scale)
+            for path, scale in grid
+        ],
         jobs=jobs,
     )
-    for (name, _, scale), per_spec in zip(grid, evaluated):
-        for result, (value, holds) in zip(results, per_spec):
+    results = []
+    for spec in specs:
+        result = SensitivityResult(
+            metric_name=spec.metric_name, baseline=spec.metric(baseline)
+        )
+        for (path, scale), table in zip(grid, tables):
             result.rows.append(
                 SensitivityRow(
-                    parameter=name,
+                    parameter=path.rpartition(".")[2],
                     scale=scale,
-                    metric_value=value,
+                    metric_value=spec.metric(table),
                     baseline_value=result.baseline,
-                    finding_holds=holds,
+                    finding_holds=spec.finding(table),
                 )
             )
+        results.append(result)
     return results
-
-
-def sweep(
-    metric: Callable[[Study], float],
-    finding: Callable[[Study], bool],
-    metric_name: str,
-    scales: Sequence[float] = (0.8, 1.25),
-    parameters: Optional[Sequence[Tuple[str, Tuple[str, ...]]]] = None,
-    problem_class: str = "B",
-    jobs: Optional[int] = None,
-) -> SensitivityResult:
-    """Perturb each parameter and re-evaluate metric + finding.
-
-    Args:
-        metric: scalar evaluated on a Study (e.g. SP's HTon-8-2 speedup).
-        finding: boolean claim evaluated on a Study.
-        metric_name: label for reports.
-        scales: multiplicative perturbations applied to each parameter.
-        parameters: knobs to perturb (default: :data:`PERTURBABLE`).
-        problem_class: NAS class for the underlying runs.
-        jobs: process-pool width (None = the global default, 1 = serial).
-    """
-    return sweep_many(
-        [SweepSpec(metric, finding, metric_name)],
-        scales=scales,
-        parameters=parameters,
-        problem_class=problem_class,
-        jobs=jobs,
-    )[0]

@@ -15,9 +15,9 @@ see ``docs/TESTING.md``.
 
 Shared fixtures live here instead of being re-declared per test module:
 ``study`` (the memoized class-B study), ``fail_plan``/``strip_timings``
-(fault-drill helpers), and the autouse ``clean_runtime_switches`` that
-keeps the environment and the process-wide supervision state from
-leaking between tests.
+(fault-drill helpers), ``uncached_engine_runs`` (run-count pins), and
+the autouse ``clean_runtime_switches`` that keeps the environment and
+the process-wide supervision state from leaking between tests.
 """
 
 import json
@@ -131,6 +131,25 @@ def serve_client():
     yield _make
     for app in apps:
         app.close(drain_timeout_s=1.0)
+
+
+@pytest.fixture
+def uncached_engine_runs(monkeypatch):
+    """Switch the run cache off for the test and count ``Engine.run``
+    calls into the returned list (one entry per call)."""
+    from repro.core.runcache import get_cache
+    from repro.sim.engine import Engine
+
+    calls = []
+    original = Engine.run
+
+    def counting(self, *args, **kwargs):
+        calls.append(None)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(get_cache(), "enabled", False)
+    monkeypatch.setattr(Engine, "run", counting)
+    return calls
 
 
 @pytest.fixture

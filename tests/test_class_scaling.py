@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.runcache import get_cache
 from repro.experiments import class_scaling
 from repro.machine.configurations import Architecture
 
@@ -33,3 +34,12 @@ class TestClassScaling:
         text = class_scaling.report(result)
         assert "Problem-class scaling" in text
         assert "HTon-8-2 slowdown %" in text
+
+
+def test_uncached_class_builds_its_table_once(uncached_engine_runs):
+    """Without the cache one class simulates its 48-run speedup table
+    once: the Table-2 averages, slowdown and winners all read it."""
+    uncached = class_scaling.run(classes=("S",), jobs=1)
+    assert len(uncached_engine_runs) == 48
+    get_cache().enabled = True  # the fixture restores it at teardown
+    assert class_scaling.run(classes=("S",), jobs=1) == uncached

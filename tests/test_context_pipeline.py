@@ -145,6 +145,21 @@ class TestPipeline:
         for rid in serial.records:
             assert serial.records[rid].text == parallel.records[rid].text
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cache_totals_sum_the_rows(self, jobs):
+        """Under ``jobs=2`` the rows count the pool workers' lookups,
+        which this process's cache never sees; the totals still add up."""
+        m = run_pipeline(
+            RunContext(problem_class="S", jobs=jobs),
+            only=["fig2", "fig3", "table2"],
+        ).manifest
+        rows = [e["cache"] for e in m["experiments"].values()]
+        totals = m["cache"]["totals"]
+        assert totals["lookups"] > 0
+        for key in CacheStats().as_dict():
+            if key != "hit_rate":
+                assert totals[key] == sum(r[key] for r in rows), key
+
     def test_disk_cache_dir_applied(self, tmp_path):
         ctx = RunContext(cache_dir=tmp_path / "cache")
         run_pipeline(ctx, only=["omp-overheads"])

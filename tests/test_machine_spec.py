@@ -2,6 +2,7 @@
 
 import dataclasses
 import sys
+from operator import attrgetter
 
 import pytest
 
@@ -210,12 +211,22 @@ class TestSpecOverride:
 
     def test_apply_params_matches_dict_path(self):
         base = paxville_params()
-        via_params = SpecOverride.scaled("core.mlp", 1.25).apply_params(base)
-        via_dict = paxville_spec().override(
-            SpecOverride.scaled("core.mlp", 1.25)
-        ).to_params()
-        assert via_params.core.mlp == via_dict.core.mlp
-        assert base.core.mlp != via_params.core.mlp  # base untouched
+        for path, sibling in [
+            ("memory_latency_ns", "core.mlp"),
+            ("core.mlp", "core.issue_width"),
+            ("bus.chip_read_bw", "bus.chip_write_bw"),
+        ]:
+            get = attrgetter(path)
+            edit = SpecOverride.scaled(path, 1.25)
+            via_params = edit.apply_params(base)
+            via_dict = paxville_spec().override(edit).to_params()
+            assert get(via_params) == get(via_dict)
+            assert get(via_params) == pytest.approx(1.25 * get(base))
+            # The base is untouched, and so is a sibling field.
+            assert get(base) == get(paxville_params())
+            assert attrgetter(sibling)(via_params) == (
+                attrgetter(sibling)(base)
+            )
 
     def test_apply_params_can_denormalize_ints(self):
         perturbed = SpecOverride.scaled("core.issue_width", 0.8).apply_params(
