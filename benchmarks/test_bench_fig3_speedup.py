@@ -1,5 +1,6 @@
 """Benchmark: regenerate the Figure-3 per-application speedup series."""
 
+from repro.analysis import findings
 from repro.core.study import Study
 from repro.experiments import fig3_speedup
 
@@ -13,8 +14,4 @@ def test_bench_fig3_speedup(benchmark):
     print(fig3_speedup.report(result))
     # Shape: SP is the only benchmark faster at HT on 2-8-2 than HT off
     # 2-4-2 (the paper's group-4 exception).
-    winners = [
-        b for b in result.table.benchmarks
-        if result.table.get(b, "ht_on_8_2") > result.table.get(b, "ht_off_4_2")
-    ]
-    assert winners == ["SP"]
+    assert findings.F1.holds(result.table), findings.ht8_winners(result.table)

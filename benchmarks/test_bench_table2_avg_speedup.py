@@ -1,8 +1,8 @@
 """Benchmark: regenerate Table 2 (average speedup per architecture)."""
 
+from repro.analysis import findings
 from repro.core.study import Study
 from repro.experiments import table2_avg_speedup
-from repro.machine.configurations import Architecture
 
 
 def test_bench_table2_avg_speedup(benchmark):
@@ -12,11 +12,6 @@ def test_bench_table2_avg_speedup(benchmark):
     result = benchmark.pedantic(regenerate, rounds=3, iterations=1)
     print()
     print(table2_avg_speedup.report(result))
-    avgs = result.averages
-    top_two = sorted(avgs, key=lambda a: avgs[a], reverse=True)[:2]
-    assert set(top_two) == {
-        Architecture.CMP_BASED_SMP,
-        Architecture.CMT_BASED_SMP,
-    }
+    assert findings.top_two(result.averages) == findings.PAPER_TOP_TWO
     # Paper: HT on both chips costs ~6.7% on average.
-    assert 0.01 < result.ht_on_8_2_slowdown < 0.15
+    assert 0.01 < findings.ht8_slowdown(result.averages) < 0.15

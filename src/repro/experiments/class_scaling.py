@@ -14,13 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
+from repro.analysis import findings
 from repro.analysis.report import format_table
 from repro.analysis.result import ExperimentResult
 from repro.analysis.speedup import average_speedup_by_architecture
 from repro.core.context import RunContext, as_context
 from repro.core.study import Study
 from repro.machine.configurations import Architecture
-from repro.experiments.table2_avg_speedup import Table2Result
 from repro.sim.parallel import parallel_map
 
 
@@ -39,26 +39,15 @@ class ClassScalingResult(ExperimentResult):
     ht8_winners: Dict[str, List[str]] = field(default_factory=dict)
 
 
-def _class_summary(task):
-    """Headline comparisons for one problem class (parallel worker)."""
-    ctx, cls, benchmarks = task
-    table = ctx.study(problem_class=cls).speedup_table(benchmarks=benchmarks)
-    t2 = Table2Result(
-        averages=average_speedup_by_architecture(table),
-        config_order=table.configs,
-    )
-    winners = [
-        b
-        for b in table.benchmarks
-        if table.get(b, "ht_on_8_2") > table.get(b, "ht_off_4_2")
-    ]
-    return t2.averages, t2.ht_on_8_2_slowdown, winners
+def _class_table(task):
+    """One problem class's speedup table (parallel worker)."""
+    ctx, cls = task
+    return ctx.study(problem_class=cls).speedup_table()
 
 
 def run(
     ctx: Union[RunContext, Study, None] = None,
     classes: Sequence[str] = ("W", "A", "B", "C"),
-    benchmarks: Optional[Sequence[str]] = None,
     jobs: Optional[int] = None,
 ) -> ClassScalingResult:
     """Sweep the problem class and recompute the headline comparisons.
@@ -70,15 +59,14 @@ def run(
     ctx = as_context(ctx)
     jobs = jobs if jobs is not None else ctx.jobs
     result = ClassScalingResult(classes=list(classes))
-    summaries = parallel_map(
-        _class_summary,
-        [(ctx, cls, benchmarks) for cls in classes],
-        jobs=jobs,
+    tables = parallel_map(
+        _class_table, [(ctx, cls) for cls in classes], jobs=jobs
     )
-    for cls, (averages, slowdown, winners) in zip(classes, summaries):
+    for cls, table in zip(classes, tables):
+        averages = average_speedup_by_architecture(table)
         result.averages[cls] = averages
-        result.ht8_slowdown[cls] = slowdown
-        result.ht8_winners[cls] = winners
+        result.ht8_slowdown[cls] = findings.ht8_slowdown(averages)
+        result.ht8_winners[cls] = findings.ht8_winners(table)
     return result
 
 

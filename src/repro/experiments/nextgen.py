@@ -18,29 +18,34 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
+from repro.analysis import findings
 from repro.analysis.report import format_table
 from repro.analysis.result import ExperimentResult
 from repro.core.context import RunContext, as_context
 from repro.core.study import Study
+from repro.machine.configurations import Architecture
 from repro.machine.params import MachineParams
 from repro.machine.registry import DEFAULT_MACHINE, resolve_machine
-from repro.machine.spec import SpecOverride
+from repro.machine.spec import MachineSpec, SpecOverride
 
 
-def shared_l2_spec(l2_mb_per_chip: int = 2):
-    """A Paxville variant whose chips pool their L2 into one shared
-    cache (Woodcrest-style), all else equal.
+def shared_l2_spec(
+    l2_mb_per_chip: int = 2, base: Optional[MachineSpec] = None
+) -> MachineSpec:
+    """A variant of *base* (default: stock Paxville) whose chips pool
+    their L2 into one shared cache (Woodcrest-style), all else equal.
 
-    Every size derives from the stock platform by *re-scoping* the L2:
+    Every size derives from the base platform by *re-scoping* the L2:
     widening ``l2_scope`` from ``core`` to ``chip`` makes all four of a
     chip's contexts share one cache (the sharer count follows from the
     topology), and the size override pools the capacity.  The 2 MB and
     4 MB points canonicalize to the same parameters as the registered
     ``nextgen-shared-l2`` machines, so both routes produce identical
     artifacts and share run-cache entries (the cache keys on parameter
-    contents, not names).
+    contents, not names).  A base with an N-level ``hierarchy`` has no
+    flat ``l2`` to re-scope: the override raises ``SpecError``.
     """
-    base = resolve_machine(DEFAULT_MACHINE)
+    base = base if base is not None else resolve_machine(DEFAULT_MACHINE)
     sharers = base.params.topo.contexts_in_scope("chip")
     return base.override(
         SpecOverride.set("l2_scope", "chip"),
@@ -50,15 +55,17 @@ def shared_l2_spec(l2_mb_per_chip: int = 2):
         ),
         name=f"nextgen-shared-l2-{l2_mb_per_chip}mb",
         description=(
-            f"Paxville with the L2 re-scoped to the chip and pooled to "
+            f"{base.name} with the L2 re-scoped to the chip and pooled to "
             f"{l2_mb_per_chip} MB (Woodcrest-style)"
         ),
     )
 
 
-def shared_l2_params(l2_mb_per_chip: int = 2) -> MachineParams:
+def shared_l2_params(
+    l2_mb_per_chip: int = 2, base: Optional[MachineSpec] = None
+) -> MachineParams:
     """Engine-facing parameters of :func:`shared_l2_spec`."""
-    return shared_l2_spec(l2_mb_per_chip).to_params()
+    return shared_l2_spec(l2_mb_per_chip, base).to_params()
 
 
 @dataclass
@@ -78,7 +85,7 @@ class NextGenResult(ExperimentResult):
 
 
 #: Display label -> pooled shared-L2 MB per chip (None = the context's
-#: own stock machine).  Variants derive from the base platform through
+#: own machine as it is).  Variants derive from that machine through
 #: :func:`shared_l2_spec` scope overrides; the registered
 #: ``nextgen-shared-l2`` spec files document the same machines.
 VARIANTS = {
@@ -94,20 +101,20 @@ def run(
     problem_class: Optional[str] = None,
 ) -> NextGenResult:
     ctx = as_context(ctx)
+    machine = ctx.machine_spec()
+    benches = list(benchmarks or ctx.workload_names())
     result = NextGenResult(variants=list(VARIANTS))
     for name, l2_mb in VARIANTS.items():
-        params = None if l2_mb is None else shared_l2_params(l2_mb)
+        params = (
+            ctx.params if l2_mb is None else shared_l2_params(l2_mb, machine)
+        )
         study = ctx.study(problem_class=problem_class, params=params)
-        benches = list(benchmarks or ctx.workload_names())
         table = study.speedup_table(benchmarks=benches)
         result.speedups[name] = {
             b: {c: table.get(b, c) for c in table.configs}
             for b in table.benchmarks
         }
-        result.ht8_winners[name] = [
-            b for b in table.benchmarks
-            if table.get(b, "ht_on_8_2") > table.get(b, "ht_off_4_2")
-        ]
+        result.ht8_winners[name] = findings.ht8_winners(table)
         result.avg_4_2[name] = table.column_average("ht_off_4_2")
         result.avg_8_2[name] = table.column_average("ht_on_8_2")
     return result
@@ -120,7 +127,10 @@ def report(result: NextGenResult) -> str:
             v,
             result.avg_4_2[v],
             result.avg_8_2[v],
-            (1.0 - result.avg_8_2[v] / result.avg_4_2[v]) * 100.0,
+            findings.ht8_slowdown({
+                Architecture.CMP_BASED_SMP: result.avg_4_2[v],
+                Architecture.CMT_BASED_SMP: result.avg_8_2[v],
+            }) * 100.0,
             ",".join(result.ht8_winners[v]) or "-",
         ])
     table = format_table(

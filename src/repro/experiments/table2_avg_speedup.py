@@ -1,6 +1,7 @@
 """Table 2: average speedup per multithreaded architecture.
 
-Headline checks from the readable text:
+Headline findings from the readable text (defined once in
+:mod:`repro.analysis.findings`):
 
 * CMP-based SMP and CMT-based SMP deliver the highest average speedups;
 * the single HT-enabled dual-core chip (CMT) trails CMP-based SMP by only
@@ -13,8 +14,9 @@ Headline checks from the readable text:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Union
 
+from repro.analysis import findings
 from repro.analysis.report import format_table
 from repro.analysis.result import ExperimentResult
 from repro.analysis.speedup import average_speedup_by_architecture
@@ -28,28 +30,8 @@ class Table2Result(ExperimentResult):
     averages: Dict[Architecture, float]
     config_order: List[str]
 
-    def average(self, arch: Architecture) -> float:
-        return self.averages[arch]
 
-    @property
-    def cmt_vs_cmp_smp_slowdown(self) -> float:
-        """Fractional slowdown of CMT relative to CMP-based SMP."""
-        cmp_smp = self.averages[Architecture.CMP_BASED_SMP]
-        cmt = self.averages[Architecture.CMT]
-        return 1.0 - cmt / cmp_smp
-
-    @property
-    def ht_on_8_2_slowdown(self) -> float:
-        """Fractional slowdown of CMT-based SMP vs CMP-based SMP."""
-        cmp_smp = self.averages[Architecture.CMP_BASED_SMP]
-        cmt_smp = self.averages[Architecture.CMT_BASED_SMP]
-        return 1.0 - cmt_smp / cmp_smp
-
-
-def run(
-    ctx: Union[RunContext, Study, None] = None,
-    benchmarks: Optional[Sequence[str]] = None,
-) -> Table2Result:
+def run(ctx: Union[RunContext, Study, None] = None) -> Table2Result:
     """Compute the Table-2 architecture averages.
 
     When the pipeline already ran ``fig3`` (a declared dependency), its
@@ -57,13 +39,13 @@ def run(
     """
     ctx = as_context(ctx)
     fig3 = ctx.results.get("fig3")
-    if fig3 is not None and benchmarks is None:
+    if fig3 is not None:
         table, cfgs = fig3.table, list(fig3.config_order)
     else:
         study = ctx.study()
         cfgs = study.paper_configs()
         table = study.speedup_table(
-            benchmarks=benchmarks or ctx.workload_names(), configs=cfgs
+            benchmarks=ctx.workload_names(), configs=cfgs
         )
     return Table2Result(
         averages=average_speedup_by_architecture(table, cfgs),
@@ -84,9 +66,11 @@ def report(result: Table2Result) -> str:
     )
     extras = (
         f"\nCMT vs CMP-based SMP slowdown: "
-        f"{result.cmt_vs_cmp_smp_slowdown * 100:.1f}% (paper: 3.6%)\n"
+        f"{findings.cmt_gap(result.averages) * 100:.1f}% "
+        f"(paper: {findings.PAPER_CMT_GAP * 100:.1f}%)\n"
         f"HT on 2-8-2 vs HT off 2-4-2 slowdown: "
-        f"{result.ht_on_8_2_slowdown * 100:.1f}% (paper: ~6.7%)"
+        f"{findings.ht8_slowdown(result.averages) * 100:.1f}% "
+        f"(paper: ~{findings.PAPER_HT8_SLOWDOWN * 100:.1f}%)"
     )
     return body + extras
 

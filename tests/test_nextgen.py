@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.core.context import RunContext
+from repro.core.study import Study
 from repro.experiments import nextgen
 from repro.machine.configurations import get_config
+from repro.machine.spec import SpecError
 from repro.npb.suite import build_workload
 from repro.sim.engine import Engine
 
@@ -75,3 +78,25 @@ class TestNextGenStudy:
     def test_report_renders(self, result):
         text = nextgen.report(result)
         assert "private vs chip-shared L2" in text
+
+
+class TestNextGenFollowsTheMachine:
+    def test_variants_derive_from_the_context_machine(self):
+        """Under ``--machine paxville-fast-bus`` the private row is that
+        machine's table and the shared rows re-scope that machine's L2."""
+        ctx = RunContext(machine="paxville-fast-bus", jobs=1)
+        result = nextgen.run(ctx, problem_class="S")
+        own = ctx.study(problem_class="S").speedup_table().values
+        assert result.speedups["private_1MB_per_core"] == own
+        assert own != Study("S").speedup_table().values
+        shared = nextgen.shared_l2_params(2, ctx.machine_spec())
+        assert result.speedups["shared_2MB_per_chip"] == (
+            Study("S", params=shared).speedup_table().values
+        )
+
+    def test_machine_without_a_flat_l2_is_an_error(self):
+        """An N-level hierarchy has no flat L2 to re-scope: the run
+        fails instead of silently reporting stock Paxville."""
+        ctx = RunContext(machine="cascadelake-2s-numa", jobs=1)
+        with pytest.raises(SpecError, match="l2_scope"):
+            nextgen.run(ctx, benchmarks=["EP"], problem_class="S")

@@ -429,23 +429,13 @@ class TestWarmSweep:
         """A warm sensitivity sweep reads one speedup-table entry per
         study (the baseline plus one per perturbation), not the 48 runs
         behind each table."""
-        from repro.experiments.sensitivity_study import (
-            _cmp_avg_speedup,
-            _sp_ht8_speedup,
-            _sp_only_winner,
-            _top_two_architectures,
-        )
-        from repro.sim.sensitivity import PERTURBABLE, SweepSpec, sweep_many
-
-        specs = [
-            SweepSpec(_sp_ht8_speedup, _sp_only_winner, "F1"),
-            SweepSpec(_cmp_avg_speedup, _top_two_architectures, "F2"),
-        ]
+        from repro.analysis.findings import F1, F2
+        from repro.experiments.sensitivity_study import PERTURBABLE, sweep_many
 
         def sweep():
             configure(reset=True, disk_dir=tmp_path)  # empty memory tier
             results = sweep_many(
-                specs, parameters=PERTURBABLE[:1], problem_class="S", jobs=1
+                [F1, F2], study=Study("S"), parameters=PERTURBABLE[:1], jobs=1
             )
             return results, get_cache().stats
 

@@ -2,18 +2,13 @@
 
 import pytest
 
+from repro.analysis.findings import F1, F2, Finding
 from repro.core.context import RunContext
 from repro.core.study import Study
 from repro.experiments import sensitivity_study
+from repro.experiments.sensitivity_study import PERTURBABLE, SensitivityRow, sweep_many
 from repro.machine.params import paxville_params
 from repro.machine.spec import SpecError, SpecOverride
-from repro.sim import sensitivity
-from repro.sim.sensitivity import (
-    PERTURBABLE,
-    SensitivityRow,
-    SweepSpec,
-    sweep_many,
-)
 
 
 class TestPerturbParams:
@@ -60,14 +55,12 @@ class TestSweep:
     @pytest.fixture(scope="class")
     def result(self):
         # One cheap parameter, one benchmark metric.
+        def ep(table):
+            return table.get("EP", "ht_off_4_2")
+
         (result,) = sweep_many(
-            [SweepSpec(
-                metric=lambda t: t.get("EP", "ht_off_4_2"),
-                finding=lambda t: t.get("EP", "ht_off_4_2") > 3.0,
-                metric_name="EP speedup",
-            )],
-            scales=(0.8, 1.25),
-            parameters=["memory_latency_ns"],
+            [Finding("EP", "EP > 3x", "EP speedup", ep, lambda t: ep(t) > 3)],
+            Study(), scales=(0.8, 1.25), parameters=["memory_latency_ns"],
         )
         return result
 
@@ -96,25 +89,10 @@ class TestSweep:
         assert cg_cpi(Study(params=slow)) / cg_cpi(Study()) - 1 > 0.10
 
 
-def _specs():
-    return [
-        SweepSpec(
-            sensitivity_study._sp_ht8_speedup,
-            sensitivity_study._sp_only_winner,
-            "F1",
-        ),
-        SweepSpec(
-            sensitivity_study._cmp_avg_speedup,
-            sensitivity_study._top_two_architectures,
-            "F2",
-        ),
-    ]
-
-
 def test_uncached_sweep_builds_each_table_once(uncached_engine_runs):
     """Without the cache every sweep point (the baseline and two
     perturbations) simulates its 48-run speedup table exactly once."""
-    sweep_many(_specs(), parameters=PERTURBABLE[:1], problem_class="S", jobs=1)
+    sweep_many([F1, F2], Study("S"), parameters=PERTURBABLE[:1], jobs=1)
     assert len(uncached_engine_runs) == 3 * 48
 
 
@@ -122,7 +100,7 @@ def test_sweep_follows_the_machine(monkeypatch):
     """The sweep perturbs the context's machine: its baseline is that
     machine's table, and the perturbed studies stay out of the
     context's study fingerprints."""
-    monkeypatch.setattr(sensitivity, "PERTURBABLE", PERTURBABLE[:1])
+    monkeypatch.setattr(sensitivity_study, "PERTURBABLE", PERTURBABLE[:1])
 
     def sweep(machine):
         ctx = RunContext(machine=machine, jobs=1)
