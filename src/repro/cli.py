@@ -21,9 +21,9 @@ completed only partially (some experiment failed or was blocked), and 4
 when the campaign was cancelled — SIGINT/SIGTERM, or the ``--timeout``
 run budget ran dry — after draining in-flight work and writing the
 manifest; in both cases the completed artifacts are written and
-``run-all --resume`` finishes the remainder.  ``run-all`` also keeps an
-fsync'd write-ahead journal next to the manifest, so even a SIGKILLed
-run resumes (disable with ``REPRO_JOURNAL=0``).  See
+``run-all --resume`` finishes the remainder.  ``run-all`` rewrites the
+manifest as an fsync'd checkpoint after every experiment, so even a
+SIGKILLed run resumes (disable with ``REPRO_JOURNAL=0``).  See
 ``docs/ROBUSTNESS.md`` for the failure model and supervision.
 """
 
@@ -204,8 +204,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--resume", action="store_true",
         help="reuse completed artifacts from a previous (partial) run "
              "in --out and re-execute only failed/skipped/missing "
-             "experiments; works from the write-ahead journal when the "
-             "previous run died before writing a manifest",
+             "experiments; works from the manifest checkpoint a killed "
+             "run left behind, and refuses another machine's or "
+             "workload selection's manifest",
     )
     run_all.add_argument(
         "--timeout", type=_positive_seconds, default=None,
@@ -603,10 +604,10 @@ def _dispatch(argv: Optional[List[str]] = None) -> int:
         from repro import supervise
         from repro.core.context import RunContext
         from repro.experiments.pipeline import (
+            CHECKPOINT_ENV,
             ResumeError,
             load_resume_state,
             run_pipeline,
-            write_artifacts,
         )
 
         only = _split_tokens(args.only)
@@ -639,40 +640,17 @@ def _dispatch(argv: Optional[List[str]] = None) -> int:
                 resume_state = load_resume_state(args.out)
             except ResumeError as exc:
                 raise CLIError(str(exc)) from None
-            print(
-                f"resuming from {args.out}: "
-                f"{len(resume_state.completed)} completed "
-                f"experiment(s) reused"
-            )
-        # Validate the selection up front (exit 2, not a half-open
-        # journal), then start the write-ahead journal.
-        try:
-            selected = [e.id for e in registry.select(only=only, skip=skip)]
-        except KeyError as exc:
-            raise CLIError(exc.args[0]) from None
-        journal = None
-        if os.environ.get(supervise.JOURNAL_ENV, "").strip() != "0":
-            journal = supervise.Journal.open(
-                args.out, selected=selected, jobs=args.jobs
-            )
         restore_signals = supervise.install_signals()
         try:
-            try:
-                pipeline = run_pipeline(
-                    ctx, only=only, skip=skip, resume=resume_state,
-                    journal=journal,
-                )
-            except KeyError as exc:
-                raise CLIError(exc.args[0]) from None
-            write_artifacts(pipeline, args.out, progress=print)
-            if journal is not None:
-                # The manifest is durably written: the journal has
-                # nothing left to say.
-                journal.finalize(pipeline.manifest.get("status", "unknown"))
+            pipeline = run_pipeline(
+                ctx, only=only, skip=skip, progress=print,
+                resume=resume_state, out_dir=args.out,
+                checkpoints=os.environ.get(CHECKPOINT_ENV, "").strip() != "0",
+            )
+        except (KeyError, ResumeError) as exc:
+            raise CLIError(exc.args[0]) from None
         finally:
             restore_signals()
-            if journal is not None:
-                journal.close()
         if args.csv:
             if {"fig2", "fig3"} <= set(pipeline.records):
                 _export_csv(args.out, pipeline)

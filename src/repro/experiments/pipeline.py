@@ -21,36 +21,39 @@ experiment still runs and emits its artifacts byte-identically to a
 clean run.  A run with failures or skips reports
 ``exit_code == EXIT_PARTIAL_FAILURE``.
 
-**Checkpoint/resume.**  Because every completed experiment persists its
-``<id>.txt`` + ``<id>.json`` plus a manifest entry, a failed run is a
-checkpoint: :func:`load_resume_state` reads those artifacts back and
+**Checkpoint/resume.**  Given an output directory, the pipeline keeps
+``manifest.json`` as the campaign's one checkpoint: the first write
+replaces any earlier campaign's manifest, and after every outcome it
+lands the experiment's ``<id>.txt`` + ``<id>.json`` and then rewrites
+the manifest atomically (``status: "running"`` until the final write).
+A failed, cancelled or even SIGKILLed run is therefore resumable:
+:func:`load_resume_state` reads the completed artifacts back and
 ``run_pipeline(..., resume=state)`` re-executes only the
 failed/skipped/missing experiments, reusing completed results (via the
 drivers' optional ``load_result`` rehydrators) for dependency
-injection.  The resumed manifest is byte-identical to an unfailed run's
-modulo timing/cache counters.
+injection.  The manifest records the campaign's identity (default study
+fingerprint and the content-addressed workload keys), and a resume into
+another identity raises :class:`ResumeError` before anything is
+written, so it never reuses another configuration's artifacts.  The
+resumed manifest is byte-identical to an unfailed run's modulo
+timing/cache counters.
 
-Artifacts: :func:`write_artifacts` emits ``<id>.txt`` + ``<id>.json``
-per experiment plus a top-level ``manifest.json`` (timings, cache
-counters, study fingerprints, failures, skips, pool-fallback reports,
-package version) — the machine-readable surface an autotuner or a
-service can drive.
+The manifest also carries timings, cache counters, study fingerprints,
+failures, skips, pool-fallback reports and the package version — the
+machine-readable surface an autotuner or a service can drive.
 
-**Supervision (PR 9).**  The pipeline cooperates with
+**Supervision.**  The pipeline cooperates with
 :mod:`repro.supervise`: SIGINT/SIGTERM (via the cancel token) and run
 budgets stop the campaign *between* experiments, draining in-flight
 pool work, recording the rest as ``cancelled`` (exit
-:data:`EXIT_CANCELLED`), and still writing the manifest.  Passing a
-:class:`~repro.supervise.journal.Journal` makes the run crash-safe:
-outcomes are journaled the moment they are known (artifacts first), so
-:func:`load_resume_state` can rebuild a resume even when the process
-was SIGKILLed before any manifest existed.
+:data:`EXIT_CANCELLED`), and still writing the manifest.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import time
 import traceback as _traceback
 from dataclasses import dataclass, field
@@ -58,14 +61,15 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.context import RunContext, as_context
-from repro.core.runcache import CacheStats, get_cache
+from repro.core.runcache import CacheStats, get_cache, study_fingerprint
 from repro.experiments import registry
 from repro import supervise
+from repro.npb.common import ProblemClass
 from repro.sim.parallel import FallbackReport, parallel_map, resolve_jobs
-from repro.supervise.journal import JOURNAL_NAME, Journal, load_journal
 from repro.testing import faults
 
 __all__ = [
+    "CHECKPOINT_ENV",
     "EXIT_CANCELLED",
     "EXIT_PARTIAL_FAILURE",
     "ExperimentCancellation",
@@ -74,6 +78,7 @@ __all__ = [
     "PipelineResult",
     "ResumeError",
     "ResumeState",
+    "campaign_identity",
     "load_resume_state",
     "run_pipeline",
     "write_artifacts",
@@ -89,7 +94,18 @@ __all__ = [
 #: (budget / circuit-breaker) sections; ``status`` gains ``cancelled``.
 #: 5 = the batched engine is gone: no ``batch_mode`` and no
 #: per-experiment ``batch`` section.
-MANIFEST_SCHEMA = 5
+#: 6 = the manifest is ``run-all``'s checkpoint: ``status`` is
+#: ``running`` until the final write, and a top-level ``identity``
+#: names the campaign a ``--resume`` must match.
+MANIFEST_SCHEMA = 6
+
+MANIFEST_NAME = "manifest.json"
+
+#: Set to ``0`` to write ``run-all``'s manifest only when the run starts
+#: and ends, with no durable checkpoint per experiment (the escape hatch
+#: for filesystems where per-write fsync is punitive, and the A/B knob
+#: for measuring checkpoint cost).
+CHECKPOINT_ENV = "REPRO_JOURNAL"
 
 #: ``run-all`` exit status when the matrix completed only partially
 #: (distinct from 2 = bad arguments; completed artifacts are still
@@ -299,7 +315,8 @@ def run_pipeline(
     skip: Optional[Sequence[str]] = None,
     progress: Optional[Callable[[str], None]] = None,
     resume: Optional[ResumeState] = None,
-    journal: Optional[Journal] = None,
+    out_dir: Optional[Path] = None,
+    checkpoints: bool = True,
 ) -> PipelineResult:
     """Run the selected experiments in dependency order.
 
@@ -312,22 +329,31 @@ def run_pipeline(
     A failing experiment is recorded, its (selected) dependents are
     skipped with their blockers, and the remaining waves continue.  With
     ``resume``, experiments already completed in a previous run are
-    reused from their artifacts instead of re-executed.
+    reused from their artifacts instead of re-executed; a ``resume``
+    recorded under another :func:`campaign_identity` raises
+    :class:`ResumeError` before anything is written.  Reused rows are
+    adopted up front, so a reused dependent stays ``ok`` even if the
+    upstream it was computed from re-runs (its artifacts went missing)
+    and fails this time.
 
     **Supervision.**  Between experiments the pipeline consults the
     process cancel token and the run budget; once either says stop, the
     remaining experiments are recorded as *cancelled* (in-flight pool
     work is drained first) and the manifest still gets written, with
-    ``exit_code == EXIT_CANCELLED``.  With ``journal``, every outcome
-    is appended to the write-ahead journal the moment it is known — and
-    completed experiments write their ``<id>.txt`` / ``<id>.json``
-    artifacts immediately, *before* their journal record — so even a
-    SIGKILLed campaign is resumable without a manifest.
+    ``exit_code == EXIT_CANCELLED``.
+
+    **Checkpoints.**  With ``out_dir``, the manifest is written there
+    before the first experiment runs (carrying every reused row) and
+    after the last; with ``checkpoints`` also after every outcome, each
+    completed experiment's artifact pair landing just before the
+    manifest that lists it — so even a SIGKILLed campaign is resumable.
     """
     ctx = as_context(ctx)
     ctx.apply_cache_config()
     with ctx.active():
-        return _run_pipeline(ctx, only, skip, progress, resume, journal)
+        return _run_pipeline(
+            ctx, only, skip, progress, resume, out_dir, checkpoints
+        )
 
 
 def _run_pipeline(
@@ -336,17 +362,31 @@ def _run_pipeline(
     skip: Optional[Sequence[str]],
     progress: Optional[Callable[[str], None]],
     resume: Optional[ResumeState],
-    journal: Optional[Journal],
+    out_dir: Optional[Path],
+    checkpoints: bool,
 ) -> PipelineResult:
     entries = registry.select(only=only, skip=skip)
     waves = registry.execution_waves(entries)
     selected = {e.id for e in entries}
     n_jobs = resolve_jobs(ctx.jobs)
-    artifact_dir = journal.path.parent if journal is not None else None
 
     def note(message: str) -> None:
         if progress is not None:
             progress(message)
+
+    identity = campaign_identity(ctx)
+    if resume is not None:
+        recorded = resume.manifest.get("identity")
+        if recorded != identity:
+            raise ResumeError(
+                f"cannot resume: {resume.out_dir / MANIFEST_NAME} belongs "
+                f"to another campaign (recorded identity "
+                f"{json.dumps(recorded, sort_keys=True)}, this run's "
+                f"{json.dumps(identity, sort_keys=True)}); re-run without "
+                f"--resume or choose another --out"
+            )
+        note(f"resuming from {resume.out_dir}: {len(resume.completed)} "
+             f"completed experiment(s) reused")
 
     def stop_reason() -> Optional[str]:
         token = supervise.token()
@@ -358,55 +398,69 @@ def _run_pipeline(
         return None
 
     out = PipelineResult()
+    #: Completed records whose artifact pair is not on disk yet.
+    unwritten: List[ExperimentRecord] = []
+
+    def checkpoint(always: bool = False) -> None:
+        """Land the pending artifact pairs, then a ``running`` manifest
+        that lists them (per outcome only with ``checkpoints``)."""
+        if out_dir is None or not (checkpoints or always):
+            return
+        out.manifest = _build_manifest(ctx, out, n_jobs, identity, True)
+        write_artifacts(out, out_dir, progress, records=unwritten)
+        unwritten.clear()
 
     def absorb(outcome: Any) -> None:
-        """One outcome's bookkeeping: result/failure/cancellation maps,
-        the journal record, and (journaled runs) immediate artifacts."""
+        """One outcome's bookkeeping, then its checkpoint."""
         if isinstance(outcome, ExperimentFailure):
             out.failures[outcome.id] = outcome
-            if journal is not None:
-                journal.task_failed(
-                    outcome.id, outcome.wave, outcome.as_dict()
-                )
-            note(f"FAILED {outcome.id} "
-                 f"({outcome.error_type}: {outcome.message})")
-            return
-        if isinstance(outcome, ExperimentCancellation):
+            message = (f"FAILED {outcome.id} "
+                       f"({outcome.error_type}: {outcome.message})")
+        elif isinstance(outcome, ExperimentCancellation):
             out.cancelled[outcome.id] = outcome
-            if journal is not None:
-                journal.task_cancelled(outcome.id, outcome.reason)
-            note(f"cancelled {outcome.id} ({outcome.reason})")
-            return
-        ctx.results[outcome.id] = outcome.result
-        out.records[outcome.id] = outcome
-        if artifact_dir is not None:
-            _emit_record_artifacts(outcome, artifact_dir)
-        if journal is not None:
-            journal.task_finished(
-                outcome.id, outcome.wave, _manifest_row(outcome)
+            message = f"cancelled {outcome.id} ({outcome.reason})"
+        else:
+            ctx.results[outcome.id] = outcome.result
+            out.records[outcome.id] = outcome
+            unwritten.append(outcome)
+            message = (
+                f"ran {outcome.id} "
+                f"({outcome.wall_time_s:.2f}s, "
+                f"cache {outcome.cache.get('hits', 0)} hits / "
+                f"{outcome.cache.get('misses', 0)} misses)"
             )
-        note(
-            f"ran {outcome.id} "
-            f"({outcome.wall_time_s:.2f}s, "
-            f"cache {outcome.cache.get('hits', 0)} hits / "
-            f"{outcome.cache.get('misses', 0)} misses)"
-        )
+        checkpoint()
+        note(message)
+
+    # Reused experiments are decided before anything runs, so the first
+    # checkpoint already carries every row a second crash must not lose.
+    reusable = {} if resume is None else resume.completed
+    for wave_index, wave in enumerate(waves):
+        for entry in (e for e in wave if e.id in reusable):
+            record = _record_from_resume(entry, resume, wave_index)
+            if record.result is not None:
+                ctx.results[record.id] = record.result
+            out.records[record.id] = record
+            out.resumed.append(record.id)
+            note(f"resumed {record.id} (reused previous artifacts)")
+    checkpoint(always=True)
 
     for wave_index, wave in enumerate(waves):
         faults.maybe_sigkill_self(wave_index)
+        pending = [e for e in wave if e.id not in out.records]
         stop = stop_reason()
         if stop is not None:
-            # The campaign is over: everything not yet decided — even
-            # entries a resume could have reused — is cancelled, so the
-            # manifest accounts for every selected experiment.
-            for entry in wave:
+            # The campaign is over: everything not yet decided is
+            # cancelled, so the manifest accounts for every selected
+            # experiment.
+            for entry in pending:
                 absorb(ExperimentCancellation(
                     id=entry.id, wave=wave_index, reason=stop,
                 ))
             continue
 
         to_run: List[registry.ExperimentEntry] = []
-        for entry in wave:
+        for entry in pending:
             blockers = sorted(
                 dep for dep in entry.requires
                 if dep in selected
@@ -415,22 +469,8 @@ def _run_pipeline(
             )
             if blockers:
                 out.skipped[entry.id] = blockers
-                if journal is not None:
-                    journal.task_skipped(entry.id, blockers)
                 note(f"skipped {entry.id} "
                      f"(blocked by {', '.join(blockers)})")
-                continue
-            if resume is not None and entry.id in resume.completed:
-                record = _record_from_resume(entry, resume, wave_index)
-                if record.result is not None:
-                    ctx.results[record.id] = record.result
-                out.records[record.id] = record
-                out.resumed.append(record.id)
-                if journal is not None:
-                    journal.task_finished(
-                        record.id, wave_index, _manifest_row(record)
-                    )
-                note(f"resumed {record.id} (reused previous artifacts)")
                 continue
             to_run.append(entry)
 
@@ -438,9 +478,6 @@ def _run_pipeline(
             tasks = [
                 (e.id, ctx.spawn(jobs=1), wave_index) for e in to_run
             ]
-            if journal is not None:
-                for e in to_run:
-                    journal.task_started(e.id, wave_index)
 
             def pool_result(index: int, outcome: Any) -> None:
                 out.executed.append(outcome.id)
@@ -459,39 +496,18 @@ def _run_pipeline(
                         id=entry.id, wave=wave_index, reason=stop,
                     ))
                     continue
-                if journal is not None:
-                    journal.task_started(entry.id, wave_index)
                 outcome = _execute(entry, ctx, wave_index)
                 out.executed.append(outcome.id)
                 absorb(outcome)
-
-        if journal is not None:
-            journal.wave_committed(wave_index)
 
     # Records in registry order, regardless of wave packing.
     out.records = {
         e.id: out.records[e.id] for e in entries if e.id in out.records
     }
-    out.manifest = _build_manifest(ctx, out, n_jobs)
+    out.manifest = _build_manifest(ctx, out, n_jobs, identity, False)
+    if out_dir is not None:
+        write_artifacts(out, out_dir, progress, records=unwritten)
     return out
-
-
-def _emit_record_artifacts(rec: ExperimentRecord, out_dir: Path) -> None:
-    """Write one record's artifact pair immediately (journaled runs).
-
-    Byte-identical to what :func:`write_artifacts` emits at the end —
-    the final pass simply rewrites the same content — but landing *now*
-    means the journal's ``task-finished`` record (appended after this
-    returns) never points at artifacts that don't exist.
-    """
-    entry = registry.get(rec.id)
-    if rec.payload is None:
-        rec.payload = entry.json_payload(rec.result)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / f"{rec.id}.txt").write_text(rec.text)
-    (out_dir / f"{rec.id}.json").write_text(
-        json.dumps(rec.payload, indent=2, sort_keys=True) + "\n"
-    )
 
 
 def _record_from_resume(
@@ -526,31 +542,40 @@ def _record_from_resume(
     )
 
 
+def campaign_identity(ctx: RunContext) -> Dict[str, Any]:
+    """What a campaign's artifacts depend on besides the code: the
+    default study's fingerprint (problem class, machine parameters,
+    scheduler, OpenMP environment) and the run-cache key of every
+    workload the matrix experiments sweep — a NAS name, or
+    ``name@short_fingerprint`` for a spec file or registry entry, so an
+    edited spec is a different campaign.  Resuming a manifest whose
+    recorded identity differs raises :class:`ResumeError`."""
+    pc = ctx.problem_class
+    if not isinstance(pc, ProblemClass):
+        pc = ProblemClass.from_str(pc)
+    study = ctx.study()
+    return {
+        "study_fingerprint": study_fingerprint(
+            pc, ctx.machine_params(), ctx.scheduler, ctx.omp
+        ),
+        "workloads": [study.workload_key(t) for t in ctx.workload_names()],
+    }
+
+
 def load_resume_state(out_dir: Path) -> ResumeState:
     """Recover the completed portion of a previous run from ``out_dir``.
 
-    An experiment counts as completed when the manifest marks it ``ok``
-    *and* both of its artifact files are present and parseable — a
-    missing or torn artifact simply re-runs that experiment.
-
-    When there is no ``manifest.json`` — the previous run was SIGKILLed
-    or crashed before its final write — but a write-ahead journal
-    (``manifest.wal.jsonl``) survives, the state is recovered from the
-    journal's ``task-finished`` records instead: same shape, same
-    artifact verification.  A completed manifest always wins over a
-    journal (a crash between the manifest write and the journal unlink
-    leaves both behind).  With neither, :class:`ResumeError`.
+    An experiment counts as completed when the manifest — final or a
+    ``running`` checkpoint a killed run left behind — marks it ``ok``
+    *and* both of its artifact files are present and parseable; a
+    missing or torn artifact simply re-runs that experiment.  With no
+    manifest, :class:`ResumeError`; :func:`run_pipeline` checks the
+    manifest's campaign identity.
     """
     out_dir = Path(out_dir)
-    manifest_path = out_dir / "manifest.json"
-    journal_path = out_dir / JOURNAL_NAME
+    manifest_path = out_dir / MANIFEST_NAME
     if not manifest_path.exists():
-        if journal_path.exists():
-            return _resume_from_journal(out_dir, journal_path)
-        raise ResumeError(
-            f"nothing to resume: no manifest at {manifest_path} "
-            f"and no journal at {journal_path}"
-        )
+        raise ResumeError(f"nothing to resume: no manifest at {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -568,69 +593,19 @@ def load_resume_state(out_dir: Path) -> ResumeState:
         # they list completed (failures aborted the whole run then).
         if meta.get("status", "ok") != "ok":
             continue
-        _adopt_completed(state, out_dir, exp_id, meta)
-    return state
-
-
-def _adopt_completed(
-    state: ResumeState, out_dir: Path, exp_id: str, meta: Dict[str, Any]
-) -> None:
-    """Accept one completed experiment into the resume state iff both
-    of its artifact files are present and parseable."""
-    try:
-        text = (out_dir / f"{exp_id}.txt").read_text()
-        payload = json.loads((out_dir / f"{exp_id}.json").read_text())
-    except (OSError, json.JSONDecodeError):
-        return
-    state.completed[exp_id] = {
-        "meta": meta, "text": text, "payload": payload
-    }
-
-
-def _resume_from_journal(out_dir: Path, journal_path: Path) -> ResumeState:
-    """Rebuild a :class:`ResumeState` from a write-ahead journal.
-
-    Journaled ``task-finished`` records carry the experiment's full
-    manifest row, so resuming from a journal is structurally identical
-    to resuming from a manifest — in-flight, failed, skipped, and
-    cancelled experiments simply have no such record and re-run.  The
-    journal loader's schema refusal (:class:`JournalSchemaError`)
-    propagates loudly; a *structurally* corrupt journal becomes a
-    :class:`ResumeError`.
-    """
-    from repro.supervise.journal import JournalError, JournalSchemaError
-
-    try:
-        journal_state = load_journal(journal_path)
-    except JournalSchemaError:
-        raise  # refuse loudly: a newer package wrote this journal
-    except JournalError as exc:
-        raise ResumeError(
-            f"cannot resume from corrupt journal {journal_path}: {exc}"
-        ) from None
-    manifest = {
-        "schema": MANIFEST_SCHEMA,
-        "status": "interrupted",
-        "source": "journal",
-        "journal": {
-            "path": str(journal_path),
-            "torn": journal_state.torn,
-            "in_flight": list(journal_state.in_flight),
-            "committed_waves": list(journal_state.committed_waves),
-        },
-    }
-    state = ResumeState(out_dir=out_dir, manifest=manifest)
-    for exp_id, meta in journal_state.finished.items():
-        if meta.get("status", "ok") != "ok":
+        try:
+            text = (out_dir / f"{exp_id}.txt").read_text()
+            payload = json.loads((out_dir / f"{exp_id}.json").read_text())
+        except (OSError, json.JSONDecodeError):
             continue
-        _adopt_completed(state, out_dir, exp_id, meta)
+        state.completed[exp_id] = {
+            "meta": meta, "text": text, "payload": payload
+        }
     return state
 
 
 def _manifest_row(rec: ExperimentRecord) -> Dict[str, Any]:
-    """One completed experiment's manifest entry (also journaled
-    verbatim as the ``task-finished`` record's ``meta``, which is what
-    makes a journal-only resume equivalent to a manifest one)."""
+    """One completed experiment's manifest entry."""
     entry = registry.get(rec.id)
     return {
         "paper_artifact": entry.paper_artifact,
@@ -653,15 +628,20 @@ def _build_manifest(
     ctx: RunContext,
     out: PipelineResult,
     n_jobs: int,
+    identity: Dict[str, Any],
+    running: bool,
 ) -> Dict[str, Any]:
-    """The top-level manifest.json payload."""
+    """The top-level manifest.json payload (a checkpoint while
+    ``running``)."""
     import repro
 
     cache = get_cache()
     experiments: Dict[str, Any] = {
         rec.id: _manifest_row(rec) for rec in out.records.values()
     }
-    if out.cancelled:
+    if running:
+        status = "running"
+    elif out.cancelled:
         status = "cancelled"
     elif out.ok:
         status = "complete"
@@ -678,6 +658,7 @@ def _build_manifest(
     return {
         "schema": MANIFEST_SCHEMA,
         "status": status,
+        "identity": identity,
         "package_version": repro.__version__,
         "problem_class": pc if isinstance(pc, str) else pc.value,
         "scheduler": ctx.scheduler,
@@ -715,39 +696,50 @@ def write_artifacts(
     pipeline: PipelineResult,
     out_dir: Path,
     progress: Optional[Callable[[str], None]] = None,
+    records: Optional[Sequence[ExperimentRecord]] = None,
 ) -> List[Path]:
-    """Write ``<id>.txt`` + ``<id>.json`` per record and manifest.json.
+    """Write ``<id>.txt`` + ``<id>.json`` per record, then manifest.json.
 
-    The text files are byte-identical to what the per-module ``report``
-    functions produced before the pipeline existed; the JSON files add
-    the machine-readable mirror of each result.  Failed or skipped
-    experiments contribute no artifact files — only their manifest
-    entries — so a later ``--resume`` can tell them apart from
-    completed work.
+    ``records`` defaults to every record of ``pipeline``; the pipeline's
+    checkpoints pass only the ones not yet on disk.  The text files are
+    byte-identical to what the per-module ``report`` functions produced
+    before the pipeline existed; the JSON files add the machine-readable
+    mirror of each result.  Failed or skipped experiments contribute no
+    artifact files — only their manifest entries — so a later
+    ``--resume`` can tell them apart from completed work.
+
+    The manifest lands last and atomically (a fixed temp file, fsynced,
+    then renamed over the old one), so a crash at any point leaves a
+    whole manifest that lists only artifacts already written.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: List[Path] = []
 
-    def emit(path: Path, content: str) -> None:
-        path.write_text(content)
+    def report(path: Path) -> None:
         written.append(path)
         if progress is not None:
             progress(f"wrote {path}")
 
-    for rec in pipeline.records.values():
-        entry = registry.get(rec.id)
+    for rec in pipeline.records.values() if records is None else records:
         payload = (
             rec.payload if rec.payload is not None
-            else entry.json_payload(rec.result)
+            else registry.get(rec.id).json_payload(rec.result)
         )
-        emit(out_dir / f"{rec.id}.txt", rec.text)
-        emit(
-            out_dir / f"{rec.id}.json",
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        )
-    emit(
-        out_dir / "manifest.json",
-        json.dumps(pipeline.manifest, indent=2, sort_keys=True) + "\n",
-    )
+        for path, content in (
+            (out_dir / f"{rec.id}.txt", rec.text),
+            (out_dir / f"{rec.id}.json",
+             json.dumps(payload, indent=2, sort_keys=True) + "\n"),
+        ):
+            path.write_text(content)
+            report(path)
+    path = out_dir / MANIFEST_NAME
+    tmp = out_dir / (MANIFEST_NAME + ".tmp")
+    with open(tmp, "w") as fh:
+        fh.write(json.dumps(pipeline.manifest, indent=2, sort_keys=True)
+                 + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    report(path)
     return written

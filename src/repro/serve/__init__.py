@@ -10,8 +10,7 @@ over an asynchronous, dedup-aware job scheduler:
 * every job runs under the supervision machinery (cooperative
   cancellation, per-job wall-time budgets) and every state transition
   can be journaled to a crash-safe ``jobs.wal.jsonl`` for resumable
-  restarts, by the same write-ahead journal as ``run-all``
-  (:mod:`repro.supervise.journal`).
+  restarts (:mod:`repro.supervise.journal`).
 
 See ``docs/SERVING.md`` for the API reference and operations notes.
 """

@@ -3,9 +3,9 @@
 The store is the daemon's source of truth for job *state*; results live
 on the executions (and in the content-addressed run cache underneath).
 Every state transition can be journaled to ``jobs.wal.jsonl`` in the
-server's state directory by the same writer and reader as ``run-all``'s
-campaign journal (:mod:`repro.supervise.journal`, which owns the file
-discipline): a SIGKILLed server leaves a journal from which
+server's state directory by the write-ahead journal's writer and reader
+(:mod:`repro.supervise.journal`, which owns the file discipline): a
+SIGKILLed server leaves a journal from which
 :func:`load_jobs_journal` reconstructs every job's last known state,
 and the scheduler resubmits the non-terminal ones on the next boot.
 
@@ -107,8 +107,8 @@ class Job:
         return out
 
 
-# Exists only so perfbench can label serve appends apart from campaign
-# ones; it goes away with ROADMAP item 1.
+# Exists only as perfbench's own target for serve appends; it goes away
+# with ROADMAP item 1.
 class JobJournal(Journal):
     append = Journal.append
 

@@ -178,7 +178,7 @@ def parallel_map(
             watchdog is off when that is unarmed too.
         on_result: called with ``(index, result)`` the moment each
             task's result is known — on every path, pool or serial —
-            so callers can journal incrementally; completion order on
+            so callers can checkpoint incrementally; completion order on
             the pool path, input order serially.
 
     Returns:

@@ -13,10 +13,12 @@ adds the supervision a long-running service needs on top of isolation:
   that SIGINT/SIGTERM (and the run budget) trip; the pipeline drains
   in-flight work, persists partial state, and exits with a valid,
   resumable manifest.
-* **Crash-safe journaling** — one fsync'd write-ahead journal writer
-  and reader (:mod:`repro.supervise.journal`) for both a campaign's
-  ``manifest.wal.jsonl`` and a server's ``jobs.wal.jsonl``, so even a
-  SIGKILLed campaign or daemon is resumable.
+* **Crash-safe journaling** — an fsync'd write-ahead journal writer
+  and reader (:mod:`repro.supervise.journal`) for a server's
+  ``jobs.wal.jsonl``, so even a SIGKILLed daemon is recoverable.  A
+  campaign needs no journal: ``run-all`` rewrites its manifest as an
+  atomic checkpoint after every experiment
+  (:mod:`repro.experiments.pipeline`).
 * **Backoff & circuit breakers** — bounded, deterministic retry for
   the transient failure classes, with structural degradation (memory-
   only cache, serial map) after repeated trips
@@ -56,14 +58,10 @@ from repro.supervise.cancel import (  # noqa: F401
     install_signal_handlers,
 )
 from repro.supervise.journal import (  # noqa: F401
-    JOURNAL_ENV,
-    JOURNAL_NAME,
     JOURNAL_SCHEMA,
     Journal,
     JournalError,
     JournalSchemaError,
-    JournalState,
-    load_journal,
 )
 from repro.supervise.observer import SupervisionObserver  # noqa: F401
 
@@ -75,13 +73,10 @@ __all__ = [
     "CancelledRun",
     "CircuitBreaker",
     "DeadlineExceeded",
-    "JOURNAL_ENV",
-    "JOURNAL_NAME",
     "JOURNAL_SCHEMA",
     "Journal",
     "JournalError",
     "JournalSchemaError",
-    "JournalState",
     "SupervisionObserver",
     "active",
     "breaker",
@@ -90,7 +85,6 @@ __all__ = [
     "current_budget",
     "default_watchdog_s",
     "install_signals",
-    "load_journal",
     "reset",
     "reset_breakers",
     "token",

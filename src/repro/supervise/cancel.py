@@ -7,7 +7,7 @@ experiments and waves, and the
 :class:`~repro.supervise.observer.SupervisionObserver` checks it at
 engine step boundaries, raising :class:`CancelledRun`.  The pipeline
 translates that into a drain: in-flight work finishes (or is harvested
-from the pool), partial state is journaled and written, and the run
+from the pool), partial state is checkpointed and written, and the run
 exits with a valid, resumable manifest instead of a traceback.
 
 A second signal while a cancellation is already draining falls back to

@@ -38,8 +38,9 @@ The spec is a comma-separated token list:
 ``sigkill-self:<wave>``
     ``SIGKILL`` the pipeline's own process at the start of wave
     ``<wave>`` of a ``run-all`` — no handlers, no cleanup, no
-    manifest.  The crash-safe journal (``manifest.wal.jsonl``) must
-    make the next ``--resume`` recover everything already committed.
+    final manifest.  The manifest checkpoint rewritten after every
+    experiment must make the next ``--resume`` recover everything
+    already completed.
 ``slow-cache:<ms>``
     Sleep ``<ms>`` milliseconds on every disk-cache read — injected
     latency for soak runs (a slow NFS mount, a contended disk), which
@@ -402,8 +403,8 @@ def maybe_hang_worker(task_index: int) -> None:
 def maybe_sigkill_self(wave: int) -> None:
     """SIGKILL the whole process at the start of the planned wave.
 
-    The crash the journal exists for: no exception propagates, no
-    ``finally`` runs, no manifest gets written.  Fires in whichever
+    The crash the manifest checkpoint exists for: no exception
+    propagates, no ``finally`` runs, no final manifest gets written.  Fires in whichever
     process evaluates the wave boundary (the pipeline process).
     """
     plan = active_plan()

@@ -53,10 +53,11 @@ def clean_runtime_switches(monkeypatch):
     ``supervise.reset()`` clears on both sides.
     """
     from repro import supervise, verify
+    from repro.experiments.pipeline import CHECKPOINT_ENV
 
     monkeypatch.delenv(faults.FAULTS_ENV, raising=False)
     monkeypatch.delenv(verify.VERIFY_ENV, raising=False)
-    monkeypatch.delenv(supervise.JOURNAL_ENV, raising=False)
+    monkeypatch.delenv(CHECKPOINT_ENV, raising=False)
     supervise.reset()
     yield
     supervise.reset()

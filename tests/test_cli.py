@@ -227,7 +227,7 @@ class TestCliFailurePaths:
 
 
 class TestSupervisionCli:
-    """run-all under supervision: budgets, journaling, cancellation."""
+    """run-all under supervision: budgets, checkpoints, cancellation."""
 
     ONLY = "sec3-lmbench,omp-overheads"
 
@@ -255,35 +255,94 @@ class TestSupervisionCli:
         assert exc.value.code == 2
         assert "must be > 0 seconds" in capsys.readouterr().err
 
-    def test_journal_finalized_away_on_success(self, tmp_path, capsys):
-        from repro.supervise import JOURNAL_NAME
+    def test_only_artifacts_and_manifest_left_on_success(
+        self, tmp_path, capsys
+    ):
+        assert main(["run-all", "--out", str(tmp_path),
+                     "--only", self.ONLY, "--no-cache"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # stdout narrates each outcome and every file written: the
+        # manifest at the start, after each experiment, and at the end.
+        assert sum(line.startswith("ran ") for line in lines) == 2
+        assert sum(line.endswith("manifest.json") for line in lines) == 4
+        # No write-ahead journal and no checkpoint temp file.
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "manifest.json", "omp-overheads.json", "omp-overheads.txt",
+            "sec3-lmbench.json", "sec3-lmbench.txt",
+        ]
 
+    def test_checkpoints_disabled_by_env(self, tmp_path, monkeypatch, capsys):
+        from repro.experiments import pipeline
+
+        statuses = []
+        real = pipeline.write_artifacts
+
+        def spy(out, out_dir, *args, **kwargs):
+            statuses.append(out.manifest["status"])
+            return real(out, out_dir, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "write_artifacts", spy)
+        monkeypatch.setenv(pipeline.CHECKPOINT_ENV, "0")
         assert main(["run-all", "--out", str(tmp_path),
                      "--only", self.ONLY]) == 0
-        capsys.readouterr()
-        assert (tmp_path / "manifest.json").exists()
-        assert not (tmp_path / JOURNAL_NAME).exists()
-
-    def test_journal_disabled_by_env(self, tmp_path, monkeypatch, capsys):
-        from repro import supervise
-
-        opened = []
-        orig = supervise.Journal.open
-
-        def spy(*args, **kwargs):
-            opened.append(kwargs.get("selected"))
-            return orig(*args, **kwargs)
-
-        monkeypatch.setattr(supervise.Journal, "open", spy)
-        monkeypatch.setenv(supervise.JOURNAL_ENV, "0")
-        assert main(["run-all", "--out", str(tmp_path),
-                     "--only", self.ONLY]) == 0
-        assert opened == []
-        monkeypatch.delenv(supervise.JOURNAL_ENV)
-        assert main(["run-all", "--out", str(tmp_path / "journaled"),
+        assert statuses == ["running", "complete"]
+        statuses.clear()
+        monkeypatch.delenv(pipeline.CHECKPOINT_ENV)
+        assert main(["run-all", "--out", str(tmp_path / "checkpointed"),
                      "--only", self.ONLY]) == 0
         capsys.readouterr()
-        assert opened == [["sec3-lmbench", "omp-overheads"]]
+        assert statuses == ["running"] * 3 + ["complete"]
+
+    @pytest.mark.parametrize("first, second", [
+        (["--machine", "paxville-fast-bus"], []),
+        ([], ["--workload", "CG"]),
+    ], ids=["machine", "workloads"])
+    def test_resume_refuses_another_campaigns_manifest(
+        self, tmp_path, capsys, first, second
+    ):
+        only = ["--only", "sec3-lmbench"]
+        assert main(["run-all", "--out", str(tmp_path), *only, *first]) == 0
+        before = (tmp_path / "sec3-lmbench.txt").read_bytes()
+        capsys.readouterr()
+        assert main(["run-all", "--out", str(tmp_path), *only, *second,
+                     "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "another campaign" in err
+        # Both identities are named: the recorded one and this run's.
+        assert err.count('"study_fingerprint"') == 2
+        assert (tmp_path / "sec3-lmbench.txt").read_bytes() == before
+
+    def test_killed_rerun_on_another_machine_resumes_its_own_matrix(
+        self, tmp_path, capsys
+    ):
+        """A finished stock run, then a fast-bus run into the same --out
+        SIGKILLed after fig3: the resume must finish the fast-bus matrix,
+        not keep the stock run's table2."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        out = tmp_path / "out"
+        only = ["--only", "fig3,table2"]
+        fast = ["--machine", "paxville-fast-bus"]
+        assert main(["run-all", "--out", str(out), *only]) == 0
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run-all", "--out", str(out),
+             *only, *fast],
+            env={**os.environ, "PYTHONPATH": str(src),
+                 "REPRO_FAULTS": "sigkill-self:1"},
+            capture_output=True, timeout=300,
+        )
+        assert proc.returncode == -9
+        assert main(["run-all", "--out", str(out), *only, *fast,
+                     "--resume"]) == 0
+        assert "1 completed experiment(s) reused" in capsys.readouterr().out
+        fresh = tmp_path / "fresh"
+        assert main(["run-all", "--out", str(fresh), *only, *fast]) == 0
+        for name in ("fig3.txt", "table2.txt"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
 
     def test_interrupt_exits_4_and_resume_completes(
         self, tmp_path, monkeypatch, capsys

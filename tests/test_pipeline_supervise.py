@@ -1,9 +1,10 @@
-"""Pipeline-level supervision: deadlines, cancellation, journal resume.
+"""Pipeline-level supervision: deadlines, cancellation, checkpoints.
 
-``test_pipeline_faults.py`` covers failure isolation and manifest-based
-resume; this module covers the supervision layer on top — budgets and
-cancellation flowing through ``run_pipeline``, the write-ahead journal,
-and resuming a run that never wrote a manifest.
+``test_pipeline_faults.py`` covers failure isolation and resuming a
+finished partial run; this module covers the supervision layer on top —
+budgets and cancellation flowing through ``run_pipeline``, the manifest
+checkpoint rewritten after every outcome, and resuming a run killed
+before its final write.
 """
 
 import json
@@ -12,17 +13,17 @@ import pytest
 
 from repro import supervise
 from repro.core.context import RunContext
+from repro.experiments import pipeline
 from repro.experiments.pipeline import (
     EXIT_CANCELLED,
-    ExperimentCancellation,
     MANIFEST_SCHEMA,
     ResumeError,
+    campaign_identity,
     load_resume_state,
     run_pipeline,
     write_artifacts,
 )
-from repro.supervise import Budget, Journal
-from repro.supervise.journal import JOURNAL_NAME, JOURNAL_SCHEMA, load_journal
+from repro.supervise import Budget
 
 CHEAP = ["sec3-lmbench", "omp-overheads"]
 DEP_CHAIN = ["fig3", "table2"]
@@ -156,23 +157,59 @@ class TestDeadlines:
         }
 
 
-class TestJournaledRuns:
-    def test_clean_run_journals_every_outcome(self, tmp_path):
-        journal = Journal.open(tmp_path, selected=CHEAP, jobs=1)
-        out = run_pipeline(RunContext(), only=CHEAP, journal=journal)
-        journal.close()
+def read_manifest(out_dir):
+    return json.loads((out_dir / "manifest.json").read_text())
+
+
+class Killed(BaseException):
+    """Stands in for SIGKILL: nothing after it runs, no final write."""
+
+
+def kill_after(n_ran):
+    """A progress hook that "kills" the run once ``n_ran`` experiments
+    have been announced as ran — after their checkpoint landed."""
+    ran = []
+
+    def hook(message):
+        if message.startswith("ran "):
+            ran.append(message.split()[1])
+            if len(ran) == n_ran:
+                raise Killed(ran[-1])
+
+    return hook
+
+
+class TestCheckpointedRuns:
+    def test_clean_run_checkpoints_every_outcome(self, tmp_path):
+        seen = {}
+
+        def probe(msg):
+            if msg.startswith("ran "):
+                manifest = read_manifest(tmp_path)
+                seen[msg.split()[1]] = (
+                    manifest["status"], sorted(manifest["experiments"]),
+                )
+
+        out = run_pipeline(
+            RunContext(), only=CHEAP, out_dir=tmp_path, progress=probe
+        )
         assert out.ok
-        state = load_journal(tmp_path / JOURNAL_NAME)
-        assert sorted(state.finished) == sorted(CHEAP)
-        assert state.in_flight == []
-        assert state.committed_waves == [0]
-        # Journaled rows are the exact manifest rows.
-        assert state.finished["sec3-lmbench"] == (
-            out.manifest["experiments"]["sec3-lmbench"]
+        # Each announced completion was already listed by a running
+        # checkpoint, along with everything completed before it.
+        assert seen == {
+            "sec3-lmbench": ("running", ["sec3-lmbench"]),
+            "omp-overheads": ("running", sorted(CHEAP)),
+        }
+        assert read_manifest(tmp_path) == out.manifest
+        assert out.manifest["status"] == "complete"
+        assert out.manifest["identity"] == campaign_identity(RunContext())
+        # The checkpoint's temp file never outlives a write.
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [f"{e}.{ext}" for e in CHEAP for ext in ("txt", "json")]
+            + ["manifest.json"]
         )
 
-    def test_journaled_run_writes_artifacts_incrementally(self, tmp_path):
-        journal = Journal.open(tmp_path, selected=CHEAP, jobs=1)
+    def test_checkpointed_run_writes_artifacts_incrementally(self, tmp_path):
         seen = {}
 
         def probe(msg):
@@ -184,135 +221,244 @@ class TestJournaledRuns:
                 )
 
         out = run_pipeline(
-            RunContext(), only=CHEAP, journal=journal, progress=probe
+            RunContext(), only=CHEAP, out_dir=tmp_path, progress=probe
         )
-        journal.close()
         # At the moment each completion was announced, its artifact
         # pair was already on disk.
         assert seen == {exp_id: (True, True) for exp_id in CHEAP}
-        # And they are byte-identical to the final write_artifacts pass.
+        # And they are byte-identical to a write_artifacts pass.
         before = (tmp_path / "sec3-lmbench.json").read_bytes()
         write_artifacts(out, tmp_path)
         assert (tmp_path / "sec3-lmbench.json").read_bytes() == before
 
-    def test_failures_and_cancellations_journaled(self, tmp_path, fail_plan):
-        journal = Journal.open(tmp_path)
+    def test_each_artifact_written_once(self, tmp_path, monkeypatch):
+        writes = []
+        monkeypatch.setattr(
+            pipeline.Path, "write_text",
+            lambda path, text: writes.append(path.name),
+        )
+        run_pipeline(RunContext(), only=CHEAP, out_dir=tmp_path)
+        assert sorted(writes) == sorted(
+            f"{e}.{ext}" for e in CHEAP for ext in ("txt", "json")
+        )
+
+    def test_failures_checkpointed(self, tmp_path, fail_plan):
+        seen = []
+
+        def probe(msg):
+            if msg.startswith("FAILED "):
+                seen.append(read_manifest(tmp_path)["failures"])
+
         run_pipeline(
             RunContext(faults=fail_plan("fig3")),
-            only=DEP_CHAIN,
-            journal=journal,
+            only=DEP_CHAIN, out_dir=tmp_path, progress=probe,
         )
-        journal.close()
-        state = load_journal(tmp_path / JOURNAL_NAME)
-        assert state.failed["fig3"]["error_type"] == "InjectedFault"
-        assert state.skipped == {"table2": ["fig3"]}
+        assert seen[0]["fig3"]["error_type"] == "InjectedFault"
+        manifest = read_manifest(tmp_path)
+        assert manifest["status"] == "partial"
+        assert manifest["skipped"] == {"table2": {"blocked_by": ["fig3"]}}
+
+    def test_checkpoints_off_writes_first_and_final_only(
+        self, tmp_path, monkeypatch
+    ):
+        statuses = []
+        real = pipeline.write_artifacts
+
+        def spy(out, out_dir, *args, **kwargs):
+            statuses.append(out.manifest["status"])
+            return real(out, out_dir, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "write_artifacts", spy)
+        run_pipeline(RunContext(), only=CHEAP, out_dir=tmp_path,
+                     checkpoints=False)
+        assert statuses == ["running", "complete"]
+        statuses.clear()
+        run_pipeline(RunContext(), only=CHEAP, out_dir=tmp_path)
+        assert statuses == ["running", "running", "running", "complete"]
+
+    def test_first_checkpoint_replaces_an_earlier_manifest(self, tmp_path):
+        write_artifacts(run_pipeline(RunContext(), only=DEP_CHAIN), tmp_path)
+        with pytest.raises(Killed):
+            run_pipeline(RunContext(), only=CHEAP, out_dir=tmp_path,
+                         progress=kill_after(1))
+        manifest = read_manifest(tmp_path)
+        assert manifest["status"] == "running"
+        assert sorted(manifest["experiments"]) == ["sec3-lmbench"]
 
 
-class TestJournalResume:
-    @staticmethod
-    def _killed_run(tmp_path, only=CHEAP):
-        """A journaled run whose manifest never landed (as after
-        SIGKILL between the last task and the final write)."""
-        journal = Journal.open(tmp_path, selected=list(only), jobs=1)
-        out = run_pipeline(RunContext(), only=only, journal=journal)
-        journal.close()  # no finalize: the WAL survives
-        assert not (tmp_path / "manifest.json").exists()
-        return out
-
-    @staticmethod
-    def _with_batch_meta(journal_path):
-        """Rewrite a journal the way manifest schema 4 wrote it: every
-        ``task-finished`` meta carries the removed ``batch`` block."""
-        lines = []
-        for line in journal_path.read_text().splitlines():
-            record = json.loads(line)
-            if record.get("type") == "task-finished":
-                record["meta"]["batch"] = {
-                    "batched_machines": 3, "scalar_fallbacks": 1,
-                    "deduplicated_machines": 0,
-                }
-            lines.append(json.dumps(record))
-        journal_path.write_text("\n".join(lines) + "\n")
-
-    def test_resume_without_manifest_uses_journal(self, tmp_path):
-        first = self._killed_run(tmp_path)
-        # The journal as written, then as an older package wrote it.
-        for rewrite in (None, self._with_batch_meta):
-            if rewrite is not None:
-                rewrite(tmp_path / JOURNAL_NAME)
-            state = load_resume_state(tmp_path)
-            assert sorted(state.completed) == sorted(CHEAP)
-            assert state.manifest["source"] == "journal"
-            assert state.manifest["status"] == "interrupted"
-
-            resumed = run_pipeline(RunContext(), only=CHEAP, resume=state)
-            assert resumed.ok
-            assert sorted(resumed.resumed) == sorted(CHEAP)
-            assert resumed.executed == []
-            # Adopted rows are identical to the uninterrupted run's rows.
-            assert resumed.manifest["experiments"] == (
-                first.manifest["experiments"]
-            )
-
-    def test_journal_resume_reruns_in_flight(self, tmp_path):
-        self._killed_run(tmp_path)
-        # Hand-append a started-but-unfinished record: in flight at the
-        # "crash", so the resume must re-run it.
-        with open(tmp_path / JOURNAL_NAME, "a") as fh:
-            fh.write(json.dumps(
-                {"type": "task-started", "id": "fig3", "wave": 1}
-            ) + "\n")
+class TestCheckpointResume:
+    def test_resume_from_a_killed_runs_checkpoint(
+        self, tmp_path, strip_timings
+    ):
+        with pytest.raises(Killed):
+            run_pipeline(RunContext(), only=CHEAP, out_dir=tmp_path,
+                         progress=kill_after(1))
         state = load_resume_state(tmp_path)
-        assert state.manifest["journal"]["in_flight"] == ["fig3"]
-        assert "fig3" not in state.completed
+        assert state.manifest["status"] == "running"
+        assert sorted(state.completed) == ["sec3-lmbench"]
+
         resumed = run_pipeline(
-            RunContext(), only=CHEAP + ["fig3"], resume=state
+            RunContext(), only=CHEAP, resume=state, out_dir=tmp_path
         )
         assert resumed.ok
-        assert resumed.executed == ["fig3"]
+        assert resumed.resumed == ["sec3-lmbench"]
+        assert resumed.executed == ["omp-overheads"]
+        clean = run_pipeline(RunContext(), only=CHEAP)
+        assert strip_timings(resumed.manifest) == strip_timings(
+            clean.manifest
+        )
 
-    def test_torn_journal_resumes_from_prefix(self, tmp_path):
-        self._killed_run(tmp_path)
-        with open(tmp_path / JOURNAL_NAME, "a") as fh:
-            fh.write('{"type": "task-finished", "id": "fi')  # the tear
-        state = load_resume_state(tmp_path)
-        assert state.manifest["journal"]["torn"] is True
-        assert sorted(state.completed) == sorted(CHEAP)
+    def test_kill_resume_kill_resume_reexecutes_nothing_finished(
+        self, tmp_path
+    ):
+        only = CHEAP + DEP_CHAIN
+        executed = []
 
-    def test_journal_missing_artifacts_rerun(self, tmp_path):
-        self._killed_run(tmp_path)
+        def attempt(hook, resume):
+            ran = []
+
+            def progress(msg):
+                if msg.startswith("ran "):
+                    ran.append(msg.split()[1])
+                hook(msg)
+
+            try:
+                run_pipeline(
+                    RunContext(), only=only, out_dir=tmp_path,
+                    resume=load_resume_state(tmp_path) if resume else None,
+                    progress=progress,
+                )
+            finally:
+                executed.append(ran)
+
+        with pytest.raises(Killed):
+            attempt(kill_after(1), resume=False)
+        with pytest.raises(Killed):
+            attempt(kill_after(1), resume=True)
+        attempt(lambda msg: None, resume=True)
+        # Three attempts, every experiment executed exactly once.
+        assert [len(ran) for ran in executed[:2]] == [1, 1]
+        assert sorted(sum(executed, [])) == sorted(only)
+        assert read_manifest(tmp_path)["status"] == "complete"
+
+    def test_resume_checkpoint_carries_reused_rows_from_the_start(
+        self, tmp_path
+    ):
+        with pytest.raises(Killed):
+            run_pipeline(RunContext(), only=CHEAP, out_dir=tmp_path,
+                         progress=kill_after(1))
+        first = []
+
+        def probe(msg):
+            if not first:
+                first.append(read_manifest(tmp_path))
+
+        run_pipeline(RunContext(), only=CHEAP, out_dir=tmp_path,
+                     resume=load_resume_state(tmp_path), progress=probe)
+        assert first[0]["status"] == "running"
+        assert sorted(first[0]["experiments"]) == ["sec3-lmbench"]
+
+    def test_checkpoint_missing_artifacts_rerun(self, tmp_path):
+        with pytest.raises(Killed):
+            run_pipeline(RunContext(), only=CHEAP, out_dir=tmp_path,
+                         progress=kill_after(2))
         (tmp_path / "sec3-lmbench.json").unlink()
         state = load_resume_state(tmp_path)
-        # A journaled completion without its artifact pair is not
+        # A checkpointed completion without its artifact pair is not
         # trusted — that experiment re-runs.
         assert sorted(state.completed) == ["omp-overheads"]
 
-    def test_manifest_wins_over_leftover_journal(self, tmp_path):
-        # A crash between the manifest write and the journal unlink
-        # leaves both; the manifest is authoritative.
-        out = run_pipeline(RunContext(), only=CHEAP)
-        write_artifacts(out, tmp_path)
-        Journal.open(tmp_path, selected=["decoy"]).close()
+    def test_torn_checkpoint_temp_file_is_ignored(self, tmp_path):
+        with pytest.raises(Killed):
+            run_pipeline(RunContext(), only=CHEAP, out_dir=tmp_path,
+                         progress=kill_after(1))
+        # A kill in the middle of the next checkpoint's write: the temp
+        # file is torn, the manifest it would have replaced is whole.
+        (tmp_path / "manifest.json.tmp").write_text('{"schema": 6, "sta')
         state = load_resume_state(tmp_path)
-        assert state.manifest["status"] == "complete"
-        assert "source" not in state.manifest
-        assert sorted(state.completed) == sorted(CHEAP)
+        assert sorted(state.completed) == ["sec3-lmbench"]
+        run_pipeline(RunContext(), only=CHEAP, resume=state,
+                     out_dir=tmp_path)
+        assert not (tmp_path / "manifest.json.tmp").exists()
+        assert read_manifest(tmp_path)["status"] == "complete"
 
-    def test_newer_schema_journal_refused_loudly(self, tmp_path):
-        from repro.supervise.journal import JournalSchemaError
+    def test_run_budget_cancellation_resumes_from_its_checkpoint(
+        self, tmp_path
+    ):
+        budget = Budget(run_timeout_s=1e-9).arm(now=0.0)
+        first = run_pipeline(RunContext(budget=budget), only=CHEAP,
+                             out_dir=tmp_path)
+        assert first.exit_code == EXIT_CANCELLED
+        manifest = read_manifest(tmp_path)
+        assert manifest["status"] == "cancelled"
+        assert sorted(manifest["cancelled"]) == sorted(CHEAP)
+        resumed = run_pipeline(RunContext(), only=CHEAP, out_dir=tmp_path,
+                               resume=load_resume_state(tmp_path))
+        assert resumed.ok and sorted(resumed.executed) == sorted(CHEAP)
 
-        (tmp_path / JOURNAL_NAME).write_text(json.dumps({
-            "type": "run-started", "schema": JOURNAL_SCHEMA + 1,
+    def test_cancelled_resume_keeps_its_reused_rows(self, tmp_path):
+        with pytest.raises(Killed):
+            run_pipeline(RunContext(), only=CHEAP, out_dir=tmp_path,
+                         progress=kill_after(1))
+        supervise.token().cancel("drill")
+        out = run_pipeline(RunContext(), only=CHEAP, out_dir=tmp_path,
+                           resume=load_resume_state(tmp_path))
+        # Reusing costs nothing, so a stop cancels only the rest.
+        assert out.resumed == ["sec3-lmbench"]
+        assert sorted(out.cancelled) == ["omp-overheads"]
+        manifest = read_manifest(tmp_path)
+        assert sorted(manifest["experiments"]) == ["sec3-lmbench"]
+
+    def test_manifest_without_identity_is_refused(self, tmp_path):
+        write_artifacts(run_pipeline(RunContext(), only=CHEAP), tmp_path)
+        manifest = read_manifest(tmp_path)
+        del manifest["identity"]  # as manifest schema 5 wrote it
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        state = load_resume_state(tmp_path)
+        with pytest.raises(ResumeError, match="recorded identity null"):
+            run_pipeline(RunContext(), only=CHEAP, out_dir=tmp_path,
+                         resume=state)
+        assert read_manifest(tmp_path) == manifest
+
+    def test_resume_on_another_machine_is_refused_before_writing(
+        self, tmp_path
+    ):
+        run_pipeline(RunContext(), only=CHEAP, out_dir=tmp_path)
+        before = read_manifest(tmp_path)
+        state = load_resume_state(tmp_path)
+        with pytest.raises(ResumeError, match="another campaign"):
+            run_pipeline(RunContext(machine="paxville-fast-bus"),
+                         only=CHEAP, out_dir=tmp_path, resume=state)
+        # Refused before the first checkpoint: nothing was replaced.
+        assert read_manifest(tmp_path) == before
+
+    def test_edited_workload_spec_is_another_campaign(self, tmp_path):
+        spec = tmp_path / "custom.json"
+
+        def write_spec(scale):
+            spec.write_text(json.dumps({
+                "schema": 1, "name": "custom", "base": "CG",
+                "workload": {"scale": scale},
+            }))
+
+        write_spec(0.5)
+        out_dir = tmp_path / "out"
+        run_pipeline(RunContext(workloads=[spec]), only=CHEAP,
+                     out_dir=out_dir)
+        # Same token, new contents: the identity changes with them.
+        write_spec(2.0)
+        with pytest.raises(ResumeError, match="custom@"):
+            run_pipeline(RunContext(workloads=[spec]), only=CHEAP,
+                         out_dir=out_dir,
+                         resume=load_resume_state(out_dir))
+
+    def test_leftover_journal_is_not_read(self, tmp_path):
+        # Older versions kept a write-ahead journal next to the
+        # manifest; it is no longer a resume source.
+        (tmp_path / "manifest.wal.jsonl").write_text(json.dumps({
+            "type": "run-started", "schema": 1,
         }) + "\n")
-        with pytest.raises(JournalSchemaError, match="newer"):
-            load_resume_state(tmp_path)
-
-    def test_structurally_corrupt_journal_is_resume_error(self, tmp_path):
-        (tmp_path / JOURNAL_NAME).write_text(
-            "garbage\n" + json.dumps({"type": "wave-committed", "wave": 0})
-            + "\n"
-        )
-        with pytest.raises(ResumeError, match="corrupt journal"):
+        with pytest.raises(ResumeError, match="nothing to resume"):
             load_resume_state(tmp_path)
 
     def test_nothing_at_all_is_resume_error(self, tmp_path):
@@ -320,20 +466,37 @@ class TestJournalResume:
             load_resume_state(tmp_path)
 
 
-class TestJournaledPoolPath:
-    def test_pool_wave_journals_results(self, tmp_path, monkeypatch):
+class TestResumeAdoptsReusedRowsFirst:
+    def test_reused_dependent_stays_ok_when_rerun_upstream_fails(
+        self, tmp_path, fail_plan
+    ):
+        """table2's artifacts were computed from an earlier, successful
+        fig3 of the same campaign, so they stay valid even when fig3
+        (its artifacts lost) re-runs and fails this time."""
+        write_artifacts(run_pipeline(RunContext(), only=DEP_CHAIN), tmp_path)
+        (tmp_path / "fig3.json").unlink()
+        out = run_pipeline(
+            RunContext(faults=fail_plan("fig3")), only=DEP_CHAIN,
+            out_dir=tmp_path, resume=load_resume_state(tmp_path),
+        )
+        assert out.resumed == ["table2"]
+        assert sorted(out.failures) == ["fig3"] and not out.skipped
+        manifest = read_manifest(tmp_path)
+        assert manifest["status"] == "partial"
+        assert manifest["experiments"]["table2"]["status"] == "ok"
+        assert manifest["skipped"] == {}
+
+
+class TestCheckpointedPoolPath:
+    def test_pool_wave_checkpoints_results(self, tmp_path, monkeypatch):
         import os
 
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        journal = Journal.open(tmp_path, selected=CHEAP, jobs=2)
         out = run_pipeline(
-            RunContext(jobs=2), only=CHEAP, journal=journal
+            RunContext(jobs=2), only=CHEAP, out_dir=tmp_path
         )
-        journal.close()
         assert out.ok
-        state = load_journal(tmp_path / JOURNAL_NAME)
-        assert sorted(state.finished) == sorted(CHEAP)
-        assert state.in_flight == []
+        assert sorted(read_manifest(tmp_path)["experiments"]) == sorted(CHEAP)
         # Incremental artifacts landed on the pool path too.
         for exp_id in CHEAP:
             assert (tmp_path / f"{exp_id}.json").exists()

@@ -15,12 +15,13 @@ then asserts the supervision invariants the paper-reproduction pipeline
 promises:
 
 1. **Every terminal state is machine-readable.**  However the run died,
-   the output directory holds a loadable ``manifest.json`` and/or a
-   loadable write-ahead journal (``manifest.wal.jsonl``); a journal
-   torn mid-record still replays up to the tear.
+   the output directory holds a loadable ``manifest.json`` (the final
+   one, or the last checkpoint a killed run rewrote) — or nothing at
+   all, when the kill landed before the first checkpoint.
 2. **Recovery is clean.**  A fault-free ``run-all --resume`` (or a
-   fresh run, when the kill landed before the journal existed) exits 0
-   and produces a complete manifest covering every selected experiment.
+   fresh run, when no manifest was written) exits 0, produces a
+   complete manifest covering every selected experiment, and leaves no
+   checkpoint temp file behind.
 3. **Recovery is correct.**  The recovered manifest's experiment rows
    match an uninterrupted reference run's rows, modulo wall-clock
    timings and cache provenance (which legitimately depend on process
@@ -50,12 +51,6 @@ from typing import Dict, List, Optional, Tuple
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 sys.path.insert(0, str(SRC))
-
-from repro.supervise.journal import (  # noqa: E402
-    JOURNAL_NAME,
-    JournalError,
-    load_journal,
-)
 
 #: Wall-time cap per subprocess: a run that outlives this hung in a way
 #: supervision should have reaped, which is itself a soak failure.
@@ -179,35 +174,24 @@ def run_once(
 def check_terminal_state(out_dir: Path) -> str:
     """Invariant 1: whatever survived must be loadable.
 
-    Returns which artifact anchors recovery: ``manifest``, ``journal``,
-    or ``nothing`` (killed before the journal existed — a fresh run,
-    not a resume, is the recovery path then).
+    Returns which artifact anchors recovery: ``manifest``, or
+    ``nothing`` (killed before the first checkpoint — a fresh run, not
+    a resume, is the recovery path then).
     """
     manifest_path = out_dir / "manifest.json"
-    journal_path = out_dir / JOURNAL_NAME
-    anchor = "nothing"
-    if manifest_path.exists():
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SoakFailure(
-                f"terminal manifest is unreadable: {manifest_path}: {exc}"
-            )
-        if not isinstance(manifest, dict) or "experiments" not in manifest:
-            raise SoakFailure(
-                f"terminal manifest is not a run manifest: {manifest_path}"
-            )
-        anchor = "manifest"
-    if journal_path.exists():
-        try:
-            load_journal(journal_path)
-        except JournalError as exc:
-            raise SoakFailure(
-                f"terminal journal does not replay: {journal_path}: {exc}"
-            )
-        if anchor == "nothing":
-            anchor = "journal"
-    return anchor
+    if not manifest_path.exists():
+        return "nothing"
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise SoakFailure(
+            f"terminal manifest is unreadable: {manifest_path}: {exc}"
+        )
+    if not isinstance(manifest, dict) or "experiments" not in manifest:
+        raise SoakFailure(
+            f"terminal manifest is not a run manifest: {manifest_path}"
+        )
+    return "manifest"
 
 
 def check_recovery(
@@ -240,9 +224,9 @@ def check_recovery(
         raise SoakFailure(
             f"recovered manifest is missing ok rows for: {missing}"
         )
-    if (out_dir / JOURNAL_NAME).exists():
+    if (out_dir / "manifest.json.tmp").exists():
         raise SoakFailure(
-            "recovery finished but left its write-ahead journal behind"
+            "recovery finished but left its checkpoint temp file behind"
         )
     return manifest
 
@@ -312,7 +296,7 @@ def soak(
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Chaos-soak run-all: kill it, hang it, corrupt its "
-                    "cache — then assert the journal/manifest always "
+                    "cache — then assert the manifest checkpoint always "
                     "recovers cleanly."
     )
     parser.add_argument("--iterations", type=int, default=10,
