@@ -20,20 +20,47 @@ The package builds the paper's entire experimental platform in software:
 Entry point: :class:`repro.core.Study`.
 """
 
-from repro.core import Study
-from repro.machine import CONFIGURATIONS, get_config
-from repro.npb import ALL_BENCHMARKS, PAPER_BENCHMARKS, build_workload
-from repro.sim import Engine
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Study",
-    "Engine",
-    "CONFIGURATIONS",
-    "get_config",
-    "ALL_BENCHMARKS",
-    "PAPER_BENCHMARKS",
-    "build_workload",
-    "__version__",
-]
+
+def _lazy_exports(namespace, exports):
+    """PEP 562 ``__getattr__``/``__dir__`` for a package whose public
+    names are re-exported from its submodules: each name's module is
+    imported on first access, so importing the package stays cheap."""
+
+    def __getattr__(name):
+        try:
+            module = exports[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}"
+            ) from None
+        value = namespace[name] = getattr(
+            importlib.import_module(module), name
+        )
+        return value
+
+    def __dir__():
+        return sorted(set(namespace) | set(exports))
+
+    return __getattr__, __dir__
+
+
+#: Public name -> the module that defines it.  ``import repro`` -- and
+#: every CLI command that never simulates -- loads neither numpy nor the
+#: engine; ``from repro import Study`` imports what ``Study`` needs.
+_EXPORTS = {
+    "Study": "repro.core.study",
+    "Engine": "repro.sim.engine",
+    "CONFIGURATIONS": "repro.machine.configurations",
+    "get_config": "repro.machine.configurations",
+    "ALL_BENCHMARKS": "repro.npb.suite",
+    "PAPER_BENCHMARKS": "repro.npb.suite",
+    "build_workload": "repro.npb.suite",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -568,11 +569,13 @@ def _validate_fault_spec() -> None:
 
     Without this, the parse error would surface inside the first
     experiment's failure boundary and read as a partial run (exit 3)
-    rather than the typo it is (exit 2)."""
+    rather than the typo it is (exit 2).  No context is active yet, so
+    the environment is the whole plan; parsing it directly keeps the
+    query commands from importing the run context."""
     from repro.testing import faults
 
     try:
-        faults.active_plan()
+        faults.parse_plan(os.environ.get(faults.FAULTS_ENV, ""))
     except faults.FaultSpecError as exc:
         raise CLIError(str(exc)) from None
 
@@ -599,8 +602,6 @@ def _dispatch(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "run-all":
-        import os
-
         from repro import supervise
         from repro.core.context import RunContext
         from repro.experiments.pipeline import (

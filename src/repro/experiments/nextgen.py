@@ -43,7 +43,8 @@ def shared_l2_spec(
     ``nextgen-shared-l2`` machines, so both routes produce identical
     artifacts and share run-cache entries (the cache keys on parameter
     contents, not names).  A base with an N-level ``hierarchy`` has no
-    flat ``l2`` to re-scope: the override raises ``SpecError``.
+    flat ``l2`` to re-scope (``base.flat_l2`` is false): the override
+    raises ``SpecError``.
     """
     base = base if base is not None else resolve_machine(DEFAULT_MACHINE)
     sharers = base.params.topo.contexts_in_scope("chip")
@@ -94,6 +95,12 @@ VARIANTS = {
     "shared_4MB_per_chip": 4,
 }
 
+#: Why a shared-L2 variant has no row on a machine whose caches are a
+#: ``hierarchy`` list: its L2 is one level of that list, not the flat
+#: ``l2`` that :func:`shared_l2_spec` re-scopes.  Such a variant stays in
+#: ``variants`` but has no speedups.
+NOT_APPLICABLE = "not applicable: the L2 is a hierarchy level"
+
 
 def run(
     ctx: Union[RunContext, Study, None] = None,
@@ -105,6 +112,8 @@ def run(
     benches = list(benchmarks or ctx.workload_names())
     result = NextGenResult(variants=list(VARIANTS))
     for name, l2_mb in VARIANTS.items():
+        if l2_mb is not None and not machine.flat_l2:
+            continue
         params = (
             ctx.params if l2_mb is None else shared_l2_params(l2_mb, machine)
         )
@@ -121,8 +130,12 @@ def run(
 
 
 def report(result: NextGenResult) -> str:
-    rows = []
+    rows, notes = [], []
     for v in result.variants:
+        if v not in result.speedups:
+            rows.append([v, "-", "-", "-", "-"])
+            notes.append(f"{v}: {NOT_APPLICABLE}")
+            continue
         rows.append([
             v,
             result.avg_4_2[v],
@@ -140,9 +153,10 @@ def report(result: NextGenResult) -> str:
         title="Next-generation what-if: private vs chip-shared L2",
         float_fmt="%.2f",
     )
+    table = "\n".join([table, *notes])
     detail_rows = []
     for v in result.variants:
-        for bench in sorted(result.speedups[v]):
+        for bench in sorted(result.speedups.get(v, {})):
             per = result.speedups[v][bench]
             detail_rows.append([
                 v, bench, per["ht_on_4_1"], per["ht_off_4_2"],

@@ -33,11 +33,13 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
+    TYPE_CHECKING,
     Tuple,
     runtime_checkable,
 )
 
-from repro.core.context import RunContext, as_context
+if TYPE_CHECKING:  # the run context imports the simulator
+    from repro.core.context import RunContext
 
 __all__ = [
     "EXPERIMENTS",
@@ -81,6 +83,8 @@ class ExperimentEntry:
 
     def run(self, ctx: Optional[RunContext] = None) -> Any:
         """Run the driver through the uniform ``run(ctx)`` entry point."""
+        from repro.core.context import as_context
+
         return self.load().run(as_context(ctx))
 
     def render_text(self, result: Any) -> str:

@@ -536,6 +536,15 @@ class MachineSpec(CanonicalTree):
     # ------------------------------------------------------------------
     # serialization (identity and ``save`` come from CanonicalTree)
     # ------------------------------------------------------------------
+    @property
+    def flat_l2(self) -> bool:
+        """Whether the canonical form has the legacy flat ``l1d``/``l2``/
+        ``l2_scope`` fields (two levels, per-core L1) that
+        :class:`SpecOverride` paths can edit, rather than a
+        ``hierarchy`` list."""
+        p = self.params
+        return not p.extra_levels and p.l1_scope == "core"
+
     def to_dict(self) -> Dict[str, Any]:
         """The full serialized form (always complete, never sparse).
 
@@ -549,7 +558,7 @@ class MachineSpec(CanonicalTree):
         shape differs from the Paxville default.
         """
         p = self.params
-        legacy_form = not p.extra_levels and p.l1_scope == "core"
+        legacy_form = self.flat_l2
         machine: Dict[str, Any] = {}
         for section in _SECTIONS:
             if not legacy_form and section in ("l1d", "l2"):

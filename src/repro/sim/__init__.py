@@ -15,37 +15,28 @@ fixed point), the :class:`~repro.sim.advance.TimeAccountant`
 and any user-supplied tracing).
 """
 
-from repro.sim.engine import Engine
-from repro.sim.advance import Progress, TimeAccountant
-from repro.sim.observer import (
-    PhaseEvent,
-    PhaseLogObserver,
-    SimObserver,
-    StepEvent,
-    TimelineObserver,
-)
-from repro.sim.resolver import (
-    ActiveContext,
-    ContentionResolver,
-    FixedPointResolver,
-    ResolvedContext,
-)
-from repro.sim.results import ProgramResult, RunResult, PhaseRecord
+from repro import _lazy_exports
 
-__all__ = [
-    "Engine",
-    "Progress",
-    "TimeAccountant",
-    "PhaseEvent",
-    "PhaseLogObserver",
-    "SimObserver",
-    "StepEvent",
-    "TimelineObserver",
-    "ActiveContext",
-    "ContentionResolver",
-    "FixedPointResolver",
-    "ResolvedContext",
-    "ProgramResult",
-    "RunResult",
-    "PhaseRecord",
-]
+#: Public name -> the module that defines it, imported on first access:
+#: importing one ``repro.sim`` submodule does not load the engine.
+_EXPORTS = {
+    "Engine": "repro.sim.engine",
+    "Progress": "repro.sim.advance",
+    "TimeAccountant": "repro.sim.advance",
+    "PhaseEvent": "repro.sim.observer",
+    "PhaseLogObserver": "repro.sim.observer",
+    "SimObserver": "repro.sim.observer",
+    "StepEvent": "repro.sim.observer",
+    "TimelineObserver": "repro.sim.observer",
+    "ActiveContext": "repro.sim.resolver",
+    "ContentionResolver": "repro.sim.resolver",
+    "FixedPointResolver": "repro.sim.resolver",
+    "ResolvedContext": "repro.sim.resolver",
+    "ProgramResult": "repro.sim.results",
+    "RunResult": "repro.sim.results",
+    "PhaseRecord": "repro.sim.results",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

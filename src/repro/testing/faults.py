@@ -61,7 +61,6 @@ Example::
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import os
 import signal
 import time
@@ -380,6 +379,8 @@ def maybe_kill_worker(task_index: int) -> None:
     plan = active_plan()
     if plan is None or plan.worker_death_index != task_index:
         return
+    import multiprocessing
+
     if multiprocessing.parent_process() is None:
         return
     os._exit(_WORKER_DEATH_STATUS)
@@ -395,6 +396,8 @@ def maybe_hang_worker(task_index: int) -> None:
     plan = active_plan()
     if plan is None or plan.hang_task_index != task_index:
         return
+    import multiprocessing
+
     if multiprocessing.parent_process() is None:
         return
     time.sleep(plan.hang_seconds)

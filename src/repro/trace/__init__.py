@@ -13,32 +13,26 @@ memory access patterns.  Every pattern supports two consistent views:
 Tests cross-validate the two views against each other.
 """
 
-from repro.trace.patterns import (
-    AccessPattern,
-    StreamingPattern,
-    RandomPattern,
-    PointerChasePattern,
-    StencilPattern,
-    AccessMix,
-    effective_capacity,
-    sharing_discount,
-    loop_thrash_miss_rate,
-)
-from repro.trace.phase import Phase, Workload
-from repro.trace.sampling import SampledStream, sample_mix
+from repro import _lazy_exports
 
-__all__ = [
-    "AccessPattern",
-    "StreamingPattern",
-    "RandomPattern",
-    "PointerChasePattern",
-    "StencilPattern",
-    "AccessMix",
-    "effective_capacity",
-    "sharing_discount",
-    "loop_thrash_miss_rate",
-    "Phase",
-    "Workload",
-    "SampledStream",
-    "sample_mix",
-]
+#: Public name -> the module that defines it, imported on first access:
+#: the address-stream sampler (and numpy) loads only when used.
+_EXPORTS = {
+    "AccessPattern": "repro.trace.patterns",
+    "StreamingPattern": "repro.trace.patterns",
+    "RandomPattern": "repro.trace.patterns",
+    "PointerChasePattern": "repro.trace.patterns",
+    "StencilPattern": "repro.trace.patterns",
+    "AccessMix": "repro.trace.patterns",
+    "effective_capacity": "repro.trace.patterns",
+    "sharing_discount": "repro.trace.patterns",
+    "loop_thrash_miss_rate": "repro.trace.patterns",
+    "Phase": "repro.trace.phase",
+    "Workload": "repro.trace.phase",
+    "SampledStream": "repro.trace.sampling",
+    "sample_mix": "repro.trace.sampling",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -27,9 +27,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
-import numpy as np
+# Only the structural view (``gen_addresses``) needs numpy; the analytic
+# view that workload specs and the CLI use loads without it.
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def effective_capacity(capacity: float, sharers: int, shared_fraction: float) -> float:
@@ -137,6 +140,8 @@ class StreamingPattern(AccessPattern):
         return spatial * max(thrash, cold)
 
     def gen_addresses(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        import numpy as np
+
         footprint = max(int(self.footprint_bytes), self.stride_bytes)
         steps = np.arange(n, dtype=np.int64) * self.stride_bytes
         return steps % footprint
@@ -154,6 +159,8 @@ class RandomPattern(AccessPattern):
         return max(0.0, 1.0 - resident / n_lines_fp)
 
     def gen_addresses(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        import numpy as np
+
         footprint = max(int(self.footprint_bytes), 8)
         words = footprint // 8
         return rng.integers(0, words, size=n, dtype=np.int64) * 8
@@ -176,6 +183,8 @@ class PointerChasePattern(AccessPattern):
         )
 
     def gen_addresses(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        import numpy as np
+
         footprint = max(int(self.footprint_bytes), self.stride_bytes)
         n_slots = max(footprint // self.stride_bytes, 1)
         order = rng.permutation(n_slots)
@@ -228,6 +237,8 @@ class StencilPattern(AccessPattern):
         return spatial * (f * window_miss + (1.0 - f) * grid_miss)
 
     def gen_addresses(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        import numpy as np
+
         footprint = max(int(self.footprint_bytes), self.stride_bytes)
         window = max(int(self.reuse_window_bytes or footprint), self.stride_bytes)
         base = (np.arange(n, dtype=np.int64) * self.stride_bytes) % footprint

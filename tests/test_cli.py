@@ -195,16 +195,22 @@ class TestCliFailurePaths:
         out = capsys.readouterr().out
         assert "nothing to resume" in out
 
+    @pytest.mark.parametrize("command", ["run-all", "list"])
     def test_malformed_faults_env_is_a_usage_error(
-        self, tmp_path, monkeypatch, capsys
+        self, command, tmp_path, monkeypatch, capsys
     ):
         # A typo in REPRO_FAULTS must exit 2 before anything runs, not
-        # surface inside an experiment as a partial failure (exit 3).
+        # surface inside an experiment as a partial failure (exit 3);
+        # query commands check it the same way.
         monkeypatch.setenv("REPRO_FAULTS", "bogus-token")
-        assert main(["run-all", "--out", str(tmp_path),
-                     "--only", self.ONLY]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "unknown fault token" in err
+        argv = [command]
+        if command == "run-all":
+            argv += ["--out", str(tmp_path), "--only", self.ONLY]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "unknown fault token" in captured.err
+        assert captured.out == ""
         assert not (tmp_path / "manifest.json").exists()
 
     def test_resume_without_previous_run_exits_2(self, tmp_path, capsys):

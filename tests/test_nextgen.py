@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.cli import main
 from repro.core.context import RunContext
 from repro.core.study import Study
 from repro.experiments import nextgen
 from repro.machine.configurations import get_config
-from repro.machine.spec import SpecError
 from repro.npb.suite import build_workload
 from repro.sim.engine import Engine
 
@@ -94,9 +94,32 @@ class TestNextGenFollowsTheMachine:
             Study("S", params=shared).speedup_table().values
         )
 
-    def test_machine_without_a_flat_l2_is_an_error(self):
-        """An N-level hierarchy has no flat L2 to re-scope: the run
-        fails instead of silently reporting stock Paxville."""
+    def test_machine_without_a_flat_l2_reports_shared_rows_not_applicable(
+        self, tmp_path, capsys
+    ):
+        """An N-level hierarchy has no flat L2 to re-scope: the shared
+        rows say why they are empty, the private row is that machine's
+        own table, and run-all still completes."""
+        shared = ["shared_2MB_per_chip", "shared_4MB_per_chip"]
         ctx = RunContext(machine="cascadelake-2s-numa", jobs=1)
-        with pytest.raises(SpecError, match="l2_scope"):
-            nextgen.run(ctx, benchmarks=["EP"], problem_class="S")
+        result = nextgen.run(ctx, benchmarks=["CG"], problem_class="S")
+        text = nextgen.report(result)
+        for variant in shared:
+            assert f"{variant}: {nextgen.NOT_APPLICABLE}" in text
+        # No stock-Paxville number stands in for any row.
+        rows = [line.split() for line in text.splitlines()]
+        assert [r for r in rows if r and r[0] in shared] == [
+            [variant, "-", "-", "-", "-"] for variant in shared
+        ]
+        own = ctx.study(problem_class="S").speedup_table(["CG"]).values
+        assert result.speedups == {"private_1MB_per_core": own}
+        assert own != Study("S").speedup_table(["CG"]).values
+
+        out = tmp_path / "out"
+        assert main([
+            "run-all", "--only", "nextgen", "--machine",
+            "cascadelake-2s-numa", "--workload", "CG", "--no-cache",
+            "--out", str(out),
+        ]) == 0
+        capsys.readouterr()
+        assert nextgen.NOT_APPLICABLE in (out / "nextgen.txt").read_text()
