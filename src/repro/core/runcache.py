@@ -396,10 +396,13 @@ class RunCache:
                 "sha256": hashlib.sha256(payload).hexdigest(),
             }
             faults.maybe_raise_cache_io("write")
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=str(path.parent), suffix=".tmp"
-            )
+            try:
+                fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+            except FileNotFoundError:
+                # The first put into a new directory, or the directory
+                # was removed since: make it, then retry once.
+                path.parent.mkdir(parents=True, exist_ok=True)
+                fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
             try:
                 with os.fdopen(fd, "wb") as fh:
                     pickle.dump(

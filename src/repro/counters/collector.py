@@ -137,6 +137,13 @@ def _sum(sets: Iterable[CounterSet]) -> CounterSet:
     return out
 
 
+def check_counts(values: Dict[Event, float]) -> None:
+    """Reject any negative event count."""
+    for ev, v in values.items():
+        if v < 0:
+            raise ValueError(f"negative count for {ev}: {v}")
+
+
 @dataclass
 class Collector:
     """Per-(program, context) event accumulation."""
@@ -156,10 +163,15 @@ class Collector:
         context_label: str,
         values: Dict[Event, float],
     ) -> None:
+        check_counts(values)
+        self.add_checked(program_id, context_label, values)
+
+    def add_checked(
+        self, program_id: int, context_label: str, values: Dict[Event, float]
+    ) -> None:
+        """:meth:`add_many` for values :func:`check_counts` passed."""
         counts = self._sets[(program_id, context_label)]._mutable()
         for ev, v in values.items():
-            if v < 0:
-                raise ValueError(f"negative count for {ev}: {v}")
             counts[ev] = counts.get(ev, 0.0) + v
 
     def for_program(self, program_id: int) -> CounterSet:

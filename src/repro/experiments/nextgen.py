@@ -85,12 +85,11 @@ class NextGenResult(ExperimentResult):
     avg_8_2: Dict[str, float] = field(default_factory=dict)
 
 
-#: Display label -> pooled shared-L2 MB per chip (None = the context's
-#: own machine as it is).  Variants derive from that machine through
+#: Display label -> pooled shared-L2 MB per chip of the what-if rows.
+#: Variants derive from the context's machine through
 #: :func:`shared_l2_spec` scope overrides; the registered
 #: ``nextgen-shared-l2`` spec files document the same machines.
 VARIANTS = {
-    "private_1MB_per_core": None,          # stock Paxville
     "shared_2MB_per_chip": 2,
     "shared_4MB_per_chip": 4,
 }
@@ -102,21 +101,37 @@ VARIANTS = {
 NOT_APPLICABLE = "not applicable: the L2 is a hierarchy level"
 
 
+def l2_label(params: MachineParams) -> str:
+    """The L2 organization of a machine, the label of its own row: e.g.
+    ``private_1MB_per_core`` on stock Paxville, ``shared_4MB_per_chip``
+    on a chip-shared 4 MB L2."""
+    size = params.l2.size_bytes
+    amount = f"{size >> 20}MB" if size % (1 << 20) == 0 else f"{size >> 10}KB"
+    kind = "private" if params.l2_scope in ("thread", "core") else "shared"
+    return f"{kind}_{amount}_per_{params.l2_scope}"
+
+
 def run(
     ctx: Union[RunContext, Study, None] = None,
     benchmarks: Optional[Sequence[str]] = None,
     problem_class: Optional[str] = None,
 ) -> NextGenResult:
+    """The context's machine as it is, then each shared-L2 variant of it
+    (a variant with the machine's own L2 organization is that machine,
+    so it gets no second row)."""
     ctx = as_context(ctx)
     machine = ctx.machine_spec()
     benches = list(benchmarks or ctx.workload_names())
-    result = NextGenResult(variants=list(VARIANTS))
+    own = l2_label(machine.params)
+    result = NextGenResult(variants=[own])
+    rows = [(own, ctx.params)]
     for name, l2_mb in VARIANTS.items():
-        if l2_mb is not None and not machine.flat_l2:
+        if name == own:
             continue
-        params = (
-            ctx.params if l2_mb is None else shared_l2_params(l2_mb, machine)
-        )
+        result.variants.append(name)
+        if machine.flat_l2:
+            rows.append((name, shared_l2_params(l2_mb, machine)))
+    for name, params in rows:
         study = ctx.study(problem_class=problem_class, params=params)
         table = study.speedup_table(benchmarks=benches)
         result.speedups[name] = {

@@ -29,6 +29,11 @@ class Architecture(enum.Enum):
     CMT_BASED_SMP = "CMT-based SMP"
 
 
+#: Masked topologies by (HT state, visible contexts, machine shape): a
+#: topology is immutable once built, so engines share it.
+_TOPOLOGIES: Dict[Tuple, SystemTopology] = {}
+
+
 @dataclass(frozen=True)
 class MachineConfig:
     """One row of the paper's Table 1.
@@ -61,7 +66,8 @@ class MachineConfig:
     def topology(
         self, params: Optional[MachineParams] = None
     ) -> SystemTopology:
-        """Build the masked topology exposing only this config's contexts.
+        """The masked topology exposing only this config's contexts,
+        built once per HT state, context set and machine shape.
 
         Args:
             params: machine whose declared ``topology`` section shapes
@@ -69,13 +75,19 @@ class MachineConfig:
                 the paper's Paxville shape (2 chips x 2 cores) is built —
                 the default every Table-1 artifact was produced with.
         """
-        if params is None:
-            full = build_topology(
-                n_chips=2, cores_per_chip=2, ht_enabled=self.ht
+        shape = None if params is None else params.topo
+        key = (self.ht, self.context_labels, shape)
+        topo = _TOPOLOGIES.get(key)
+        if topo is None:
+            full = (
+                build_topology(n_chips=2, cores_per_chip=2, ht_enabled=self.ht)
+                if params is None
+                else params.build_topology(ht_enabled=self.ht)
             )
-        else:
-            full = params.build_topology(ht_enabled=self.ht)
-        return full.restrict(list(self.context_labels))
+            if len(_TOPOLOGIES) >= 256:
+                _TOPOLOGIES.clear()
+            topo = _TOPOLOGIES[key] = full.restrict(list(self.context_labels))
+        return topo
 
     def machine_params(self) -> MachineParams:
         return paxville_params()

@@ -14,7 +14,7 @@ binding bottleneck (chip port or memory controller).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from repro.machine.params import BusParams
@@ -77,6 +77,17 @@ PREFETCH_WASTE = 0.18
 #: M/M/1 curve here would make the CPI/bus fixed point oscillate.
 _QUEUE_COEFF = 0.45
 _QUEUE_CAP = 2.5
+#: Damped CPI/bus fixed-point numerics (the solution method's, not any
+#: machine's): pass cap and damping of the CPI estimate.
+_FIXED_POINT_ITERS = 40
+_DAMPING = 0.6
+
+
+def _queue_multiplier(utilization: float) -> float:
+    """Queueing inflation of DRAM latency at ``utilization``."""
+    u = utilization if utilization < 0.98 else 0.98
+    m = 1.0 + _QUEUE_COEFF * u * u / (1.0 - u)
+    return m if m < _QUEUE_CAP else _QUEUE_CAP
 
 
 #: ``(latency_multiplier, prefetch_coverage, utilization)`` per class.
@@ -107,8 +118,74 @@ class BusClasses:
     max_cov: Tuple[float, ...]
     #: NUMA achievable-bandwidth fraction per class (1.0 on UMA).
     bw_scale: Tuple[float, ...]
-    snoop_chip: Tuple[float, ...]
+    #: Snoop census per chip and system-wide; ``None`` when
+    #: :meth:`BusModel.prepare` had no demand to count, in which case
+    #: the coupled kernel takes it from its first pass.
+    snoop_chip: Optional[Tuple[float, ...]]
     snoop_sys: float
+
+
+@dataclass
+class CpiClasses:
+    """The CPU side of the coupled bus/CPI fixed point, per class.
+
+    Only ``stall_memory`` varies across the fixed point's passes, so the
+    kernel recomputes just that term, with the operation sequence of
+    :meth:`~repro.cpu.pipeline.PipelineModel.breakdown`, and chains it
+    into the stall sum in ``CPIBreakdown.stall_per_instr``'s order.
+    ``terms`` holds per class ``(llc_misses_per_instr,
+    coherence_misses_per_instr, exec_term, effective_mlp,
+    memory_latency_cycles, stall_l2_hit, stall_trace_cache, stall_itlb,
+    stall_dtlb, stall_branch, stall_moclear, stall_coherence)``, the
+    latency with its NUMA tier and the exec term with its SMT slowdown.
+    ``cpi_est`` goes in as the bus-independent CPI and comes out as the
+    last damped estimate; ``demand``, ``stall_memory`` and ``residual``
+    (the max relative CPI change) are the last pass's.
+    """
+
+    clock: Sequence[float]
+    cpi_est: List[float]
+    terms: Sequence[Tuple[float, ...]]
+    mig_misses_per_sec: float
+    line_bytes: float
+    llc_latency: float
+    covered_exposure: float
+    demand: List[float] = field(default_factory=list)
+    stall_memory: List[float] = field(default_factory=list)
+    residual: float = 0.0
+
+
+def _snoop_census(
+    params: BusParams,
+    chip_members: Tuple[Tuple[int, ...], ...],
+    demand: Sequence[float],
+) -> Tuple[Tuple[float, ...], float]:
+    """Per-chip and system snoop multipliers for the agents with demand.
+
+    Snoop traffic from every agent with misses in flight consumes
+    address-bus capacity; cross-chip snoops are reflected through the
+    memory controller and cost more.
+    """
+    agents = [
+        sum(1 for k in members if demand[k] > 0)
+        for members in chip_members
+    ]
+    snoop_chip = []
+    for c, on in enumerate(agents):
+        local = max(on - 1, 0)
+        remote = sum(v for ch, v in enumerate(agents) if ch != c)
+        snoop_chip.append(
+            1.0
+            + params.snoop_overhead_per_agent * local
+            + params.snoop_overhead_cross_chip * remote
+        )
+    snoop_sys = 0.0
+    for s in snoop_chip:
+        snoop_sys += s
+    return (
+        tuple(snoop_chip),
+        snoop_sys / len(snoop_chip) if snoop_chip else 1.0,
+    )
 
 
 class BusModel:
@@ -158,38 +235,24 @@ class BusModel:
         self,
         chip_members: Tuple[Tuple[int, ...], ...],
         class_chip: Tuple[int, ...],
-        demand: Sequence[float],
+        demand: Optional[Sequence[float]],
         read_frac: Sequence[float],
         prefetchability: Sequence[float],
         bw_scale: Sequence[float],
     ) -> BusClasses:
         """The iteration-invariant half of :meth:`resolve_lite`.
 
-        Snoop traffic from every agent with misses in flight consumes
-        address-bus capacity; cross-chip snoops are reflected through the
-        memory controller and cost more.  The census reads only demand
-        *signs*, which cannot change across the engine's outer fixed
-        point (demand is a sum of non-negative terms times a positive
-        rate), so one census from the first iteration's ``demand`` serves
-        every later call.
+        The snoop census reads only demand *signs*, which cannot change
+        across the coupled fixed point (demand is a sum of non-negative
+        terms times a positive rate), so one census serves every pass.
+        Pass ``demand=None`` to let the coupled kernel take it from its
+        first pass.
         """
         p = self.params
-        agents = [
-            sum(1 for k in members if demand[k] > 0)
-            for members in chip_members
-        ]
-        snoop_chip = []
-        for c, on in enumerate(agents):
-            local = max(on - 1, 0)
-            remote = sum(v for ch, v in enumerate(agents) if ch != c)
-            snoop_chip.append(
-                1.0
-                + p.snoop_overhead_per_agent * local
-                + p.snoop_overhead_cross_chip * remote
-            )
-        snoop_sys = 0.0
-        for s in snoop_chip:
-            snoop_sys += s
+        snoop_chip, snoop_sys = (
+            (None, 1.0) if demand is None
+            else _snoop_census(p, chip_members, demand)
+        )
         return BusClasses(
             chip_members=chip_members,
             class_chip=class_chip,
@@ -198,8 +261,8 @@ class BusModel:
                 p.prefetch_max_coverage * pf for pf in prefetchability
             ),
             bw_scale=tuple(bw_scale),
-            snoop_chip=tuple(snoop_chip),
-            snoop_sys=snoop_sys / len(snoop_chip) if snoop_chip else 1.0,
+            snoop_chip=snoop_chip,
+            snoop_sys=snoop_sys,
         )
 
     def build_outcomes(
@@ -234,28 +297,27 @@ class BusModel:
     def resolve_lite(
         self,
         classes: BusClasses,
-        demand: Sequence[float],
+        demand: Optional[Sequence[float]],
         cov: Sequence[float],
+        cpu: Optional[CpiClasses] = None,
     ) -> LiteResult:
         """Converged ``(latency_multiplier, prefetch_coverage,
         utilization)`` lists, one entry per contention-equivalence class.
 
-        This is the innermost loop of the engine's CPI/bus fixed point —
-        called every outer iteration, with full outcomes materialized
-        (:meth:`build_outcomes`) only after convergence — so the
-        iteration state lives in flat lists of Python floats.  Chip-port
+        Without ``cpu``, one bus solve at the offered ``demand`` (bytes/s
+        per class), from the coverage ``cov`` (not mutated).  With
+        ``cpu``, the engine's whole coupled fixed point, ``demand``
+        ignored: each pass derives demand from the CPI estimates, solves
+        the bus (warm-started from the previous pass's coverage, which
+        collapses the inner loop to a couple of steps), and damps every
+        class's CPI toward the stalls and bandwidth share that outcome
+        implies, until the largest relative CPI change drops below
+        ``1e-4``.
+
+        The state lives in flat lists of Python floats, and chip-port
         sums fold member by member in context order (``k`` additions,
         never ``k * x``), so a class collapse is bit-identical to running
         every context as its own class.
-
-        Args:
-            classes: the step's :meth:`prepare` result.
-            demand: offered bytes/s per class at the current execution
-                rate estimate.
-            cov: warm-start coverage per class (the engine passes the
-                previous outer iteration's converged values, which
-                collapses the inner loop to a couple of steps).  Not
-                mutated.
         """
         p = self.params
         chip_read_bw, chip_write_bw = p.chip_read_bw, p.chip_write_bw
@@ -268,86 +330,156 @@ class BusModel:
         snoop_sys = classes.snoop_sys
         rfrac = classes.read_frac
         max_cov = classes.max_cov
-        n_chips = len(chip_members)
-        # Remote-tier traffic occupies the port for longer per byte:
-        # scale demand by the inverse achievable bandwidth fraction
-        # (``x / 1.0`` is exact, so UMA loads are untouched).
-        demand = [d / s for d, s in zip(demand, classes.bw_scale)]
+        bw_scale = classes.bw_scale
+        ks = range(len(max_cov))
         cov = list(cov)
-        n = len(demand)
-        utils_c = [0.0] * n_chips
+        utils_c: List[float] = []
+        if cpu is None:
+            passes = 1
+            # Remote-tier traffic occupies the port for longer per byte:
+            # scale demand by the inverse achievable bandwidth fraction
+            # (``x / 1.0`` is exact, so UMA loads are untouched).
+            scaled = [d / s for d, s in zip(demand, bw_scale)]
+        else:
+            passes = _FIXED_POINT_ITERS
+            clock = cpu.clock
+            cpi_est = cpu.cpi_est
+            terms = cpu.terms
+            mig = cpu.mig_misses_per_sec
+            line = cpu.line_bytes
+            llc_lat = cpu.llc_latency
+            exposure = cpu.covered_exposure
+            undamped = 1 - _DAMPING
+            stall_memory: List[float] = []
+            max_delta = 0.0
 
-        for _ in range(24):
-            # Covered misses move from demand to prefetch transactions
-            # (same line transfer) plus wasted speculative fetches.
-            offered = [
-                d * ((1.0 - c) + c * waste_factor)
-                for d, c in zip(demand, cov)
-            ]
-            total_offered = 0.0
-            read_total = 0.0
-            for ci in range(n_chips):
-                co = 0.0
-                cr = 0.0
-                for k in chip_members[ci]:
-                    o = offered[k]
-                    co += o
-                    cr += o * rfrac[k]
-                total_offered += co
-                read_total += cr
-                rf = cr / co if co else 0.8
-                wf = 1.0 - rf
-                denom = rf / chip_read_bw + wf / chip_write_bw
-                cap = 1.0 / denom if denom > 0 else chip_read_bw
-                utils_c[ci] = co * snoop_chip[ci] / cap
+        for _ in range(passes):
+            if cpu is not None:
+                demand = []
+                scaled = []
+                for k in ks:
+                    rate = clock[k] / cpi_est[k]
+                    t = terms[k]
+                    d = (t[0] + t[1] + mig / rate) * rate * line
+                    demand.append(d)
+                    scaled.append(d / bw_scale[k])
+            if snoop_chip is None:
+                snoop_chip, snoop_sys = _snoop_census(p, chip_members, demand)
 
-            sys_read_frac = (
-                read_total / total_offered if total_offered else 0.8
-            )
-            wf = 1.0 - sys_read_frac
-            denom = sys_read_frac / sys_read_bw + wf / sys_write_bw
-            sys_cap = 1.0 / denom if denom > 0 else sys_read_bw
-            sys_util = total_offered * snoop_sys / sys_cap
-            for ci in range(n_chips):
-                if utils_c[ci] < sys_util:
-                    utils_c[ci] = sys_util
+            for _ in range(24):
+                # Covered misses move from demand to prefetch transactions
+                # (same line transfer) plus wasted speculative fetches.
+                offered = []
+                reads = []
+                for k in ks:
+                    c = cov[k]
+                    o = scaled[k] * ((1.0 - c) + c * waste_factor)
+                    offered.append(o)
+                    reads.append(o * rfrac[k])
+                total_offered = 0.0
+                read_total = 0.0
+                utils_c = []
+                for members, snoop in zip(chip_members, snoop_chip):
+                    co = 0.0
+                    cr = 0.0
+                    for k in members:
+                        co += offered[k]
+                        cr += reads[k]
+                    total_offered += co
+                    read_total += cr
+                    rf = cr / co if co else 0.8
+                    wf = 1.0 - rf
+                    denom = rf / chip_read_bw + wf / chip_write_bw
+                    cap = 1.0 / denom if denom > 0 else chip_read_bw
+                    utils_c.append(co * snoop / cap)
 
-            delta = 0.0
-            for k in range(n):
-                u = utils_c[class_chip[k]]
-                headroom = headroom_cap - u
-                if headroom < 0.0:
-                    headroom = 0.0
-                head_factor = headroom / headroom_cap * 2.2
-                if head_factor > 1.0:
-                    head_factor = 1.0
-                target = max_cov[k] * head_factor
-                # A ceiling scaled past 1 (a sensitivity perturbation of
-                # prefetch_max_coverage) must not cover more misses than
-                # there are: demand transactions would go negative.
-                if target > 1.0:
-                    target = 1.0
-                # Damping keeps the loop from oscillating at the knee.
-                old = cov[k]
-                new_cov = 0.5 * old + 0.5 * target
-                d = new_cov - old
-                if d < 0.0:
-                    d = -d
-                if d > delta:
-                    delta = d
-                cov[k] = new_cov
-            if delta < 1e-6:
+                sys_read_frac = (
+                    read_total / total_offered if total_offered else 0.8
+                )
+                wf = 1.0 - sys_read_frac
+                denom = sys_read_frac / sys_read_bw + wf / sys_write_bw
+                sys_cap = 1.0 / denom if denom > 0 else sys_read_bw
+                sys_util = total_offered * snoop_sys / sys_cap
+                # Each port is bound by its own capacity or the memory
+                # controller's, whichever is busier.
+                for ci, u in enumerate(utils_c):
+                    if u < sys_util:
+                        utils_c[ci] = sys_util
+
+                delta = 0.0
+                for k in ks:
+                    u = utils_c[class_chip[k]]
+                    headroom = headroom_cap - u
+                    if headroom < 0.0:
+                        headroom = 0.0
+                    head_factor = headroom / headroom_cap * 2.2
+                    if head_factor > 1.0:
+                        head_factor = 1.0
+                    target = max_cov[k] * head_factor
+                    # A ceiling scaled past 1 (a sensitivity perturbation
+                    # of prefetch_max_coverage) must not cover more misses
+                    # than there are: demand transactions would go
+                    # negative.
+                    if target > 1.0:
+                        target = 1.0
+                    # Damping keeps the loop from oscillating at the knee.
+                    old = cov[k]
+                    new_cov = 0.5 * old + 0.5 * target
+                    d = new_cov - old
+                    if d < 0.0:
+                        d = -d
+                    if d > delta:
+                        delta = d
+                    cov[k] = new_cov
+                if delta < 1e-6:
+                    break
+
+            if cpu is None:
+                break
+            stall_memory = []
+            max_delta = 0.0
+            for k in ks:
+                (llc_mpi, _, exec_term, mlp, mem_lat_k, l2_hit, tc, itlb,
+                 dtlb, branch, moclear, coherence) = terms[k]
+                util = utils_c[class_chip[k]]
+                c = cov[k]
+                mem_lat = mem_lat_k * _queue_multiplier(util)
+                uncovered = llc_mpi * (1.0 - c)
+                covered = llc_mpi * c
+                stall = (
+                    uncovered * mem_lat / mlp
+                    + covered * llc_lat * exposure
+                )
+                stall_memory.append(stall)
+                cpi = exec_term + (
+                    l2_hit + stall + tc + itlb + dtlb + branch + moclear
+                    + coherence
+                )
+                # Bandwidth sharing: when the offered traffic exceeds
+                # the bus capacity (utilization > 1 at the current
+                # execution rate), each thread's time dilates until the
+                # bus is exactly full.  CPI_bw = CPI_est * utilization is
+                # the processor-sharing equilibrium.
+                est = cpi_est[k]
+                target = cpi
+                if util > 1.0:
+                    cpi_bw = est * util
+                    if cpi_bw > cpi:
+                        target = cpi_bw
+                new_cpi = _DAMPING * est + undamped * target
+                rel = abs(new_cpi - est) / est
+                if rel > max_delta:
+                    max_delta = rel
+                cpi_est[k] = new_cpi
+            if max_delta < 1e-4:
                 break
 
-        mult = []
-        util = []
-        for k in range(n):
-            u_k = utils_c[class_chip[k]]
-            u = u_k if u_k < 0.98 else 0.98
-            m = 1.0 + _QUEUE_COEFF * u * u / (1.0 - u)
-            mult.append(m if m < _QUEUE_CAP else _QUEUE_CAP)
-            util.append(u_k)
-        return mult, cov, util
+        if cpu is not None:
+            cpu.demand = demand
+            cpu.stall_memory = stall_memory
+            cpu.residual = max_delta
+        util = [utils_c[class_chip[k]] for k in ks]
+        return [_queue_multiplier(u) for u in util], cov, util
 
     def streaming_bandwidth(
         self, n_chips_active: int, kind: str = "read"

@@ -13,9 +13,9 @@ bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Sequence, Tuple
 
-from repro.counters.collector import Collector
+from repro.counters.collector import Collector, check_counts
 from repro.counters.events import Event
 from repro.machine.params import MachineParams
 from repro.mem.bus import PREFETCH_WASTE
@@ -69,28 +69,17 @@ class TimeAccountant:
         self.omp = omp
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def program_contexts(
-        prog: Progress, resolved: Dict[str, ResolvedContext]
-    ) -> List[ResolvedContext]:
-        return [
-            r
-            for r in resolved.values()
-            if r.active.spec.program_id == prog.spec.program_id
-        ]
-
-    # ------------------------------------------------------------------
     def phase_wall_time(
         self,
         prog: Progress,
-        resolved: Dict[str, ResolvedContext],
+        ctxs: Sequence[ResolvedContext],
         oversub_shares: int = 1,
     ) -> float:
         """Full wall time of the program's current phase at the present
-        contention level (compute + imbalance + synchronization)."""
+        contention level (compute + imbalance + synchronization);
+        ``ctxs`` are the program's resolved contexts this step."""
         phase = prog.phase
         clock = self.params.core.clock_hz
-        ctxs = self.program_contexts(prog, resolved)
         if not ctxs:
             raise RuntimeError(
                 f"no active contexts for program {prog.spec.program_id}"
@@ -132,11 +121,9 @@ class TimeAccountant:
         return slowest + sync_cycles / clock
 
     # ------------------------------------------------------------------
-    def phase_summary(
-        self, prog: Progress, resolved: Dict[str, ResolvedContext]
-    ) -> Tuple[float, float]:
+    @staticmethod
+    def phase_summary(ctxs: Sequence[ResolvedContext]) -> Tuple[float, float]:
         """(mean effective CPI, peak bus utilization) over the team."""
-        ctxs = self.program_contexts(prog, resolved)
         mean_cpi = sum(r.cpi_eff for r in ctxs) / len(ctxs)
         util = max((r.bus.utilization if r.bus else 0.0) for r in ctxs)
         return mean_cpi, util
@@ -146,29 +133,31 @@ class TimeAccountant:
         self,
         prog: Progress,
         fraction: float,
-        resolved: Dict[str, ResolvedContext],
+        ctxs: Sequence[ResolvedContext],
         collector: Collector,
     ) -> None:
-        """Record counters for executing ``fraction`` of the phase.
+        """Record counters for executing ``fraction`` of the phase on the
+        program's resolved contexts ``ctxs``.
 
         Members of one contention-equivalence class (``class_index``)
-        share every input, so each class's event dict is built once and
-        added to every member's counter set.
+        share every input, so each class's event dict is built and
+        checked once and added to every member's counter set.
         """
         if fraction <= 0:
             return
         phase = prog.phase
         program_id = prog.spec.program_id
         by_class: Dict[int, Dict[Event, float]] = {}
-        for r in self.program_contexts(prog, resolved):
+        for r in ctxs:
             label = r.active.placement.context.label
             k = r.class_index
             events = by_class.get(k)
             if events is None:
                 events = self._events(phase, fraction, r)
+                check_counts(events)
                 if k is not None:
                     by_class[k] = events
-            collector.add_many(program_id, label, events)
+            collector.add_checked(program_id, label, events)
 
     @staticmethod
     def _events(

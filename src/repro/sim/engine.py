@@ -28,7 +28,7 @@ from repro.counters.collector import Collector
 from repro.machine.configurations import MachineConfig
 from repro.machine.params import MachineParams
 from repro.openmp.env import OMPEnvironment
-from repro.osmodel.process import Placement, ProgramSpec
+from repro.osmodel.process import ProgramSpec, ThreadPlacement
 from repro.osmodel.scheduler import Scheduler, make_scheduler
 from repro.sim.advance import Progress, TimeAccountant
 from repro.sim.observer import (
@@ -44,8 +44,10 @@ from repro.sim.resolver import (
     ActiveContext,
     ContentionResolver,
     FixedPointResolver,
+    ResolvedContext,
 )
 from repro.sim.results import ProgramResult, RunResult
+from repro.testing import faults
 from repro.trace.phase import Workload
 
 # Runtime verification (the invariant auditor attaches per run when
@@ -150,6 +152,10 @@ class Engine:
             return self._run_oversubscribed(specs[0])
         placement = self.scheduler.place(specs, self.topology)
         placement.validate(self.topology)
+        threads = {
+            s.program_id: placement.program_threads(s.program_id)
+            for s in specs
+        }
 
         progress = [Progress(spec=s) for s in specs]
         collector = Collector()
@@ -163,6 +169,8 @@ class Engine:
         if _supervise.active():
             observers.append(_supervise.SupervisionObserver())
         broadcast(observers, "on_run_start", specs)
+        # Fault-drill hook: 0.0 without an active resolver-skew plan.
+        skew = faults.resolver_skew()
         global_t = 0.0
         step_idx = 0
 
@@ -171,17 +179,25 @@ class Engine:
             if not live:
                 break
 
-            active = self._active_contexts(live, placement)
+            active = self._active_contexts(live, threads)
             resolved = self.resolver.resolve(active)
+            if skew > 0.0:
+                faults.skew_resolved(resolved, skew)
             step_idx += 1
             broadcast(observers, "on_resolve",
                       ResolveEvent(step=step_idx, resolved=resolved))
+            # Each live program's resolved contexts, in context order.
+            teams: Dict[int, List[ResolvedContext]] = {
+                prog.spec.program_id: [] for prog in live
+            }
+            for r in resolved.values():
+                teams[r.active.spec.program_id].append(r)
 
             # Projected remaining wall time of each live program's phase.
             projected: Dict[int, Tuple[float, float]] = {}
             for prog in live:
                 full = self.accountant.phase_wall_time(
-                    prog, resolved, self._oversub_shares
+                    prog, teams[prog.spec.program_id], self._oversub_shares
                 )
                 projected[prog.spec.program_id] = (
                     full,
@@ -199,9 +215,9 @@ class Engine:
                 full, _rem = projected[prog.spec.program_id]
                 f = dt / full if full > 0 else prog.frac_remaining
                 f = min(f, prog.frac_remaining)
-                self.accountant.accumulate(prog, f, resolved, collector)
-                mean_cpi, util = self.accountant.phase_summary(prog, resolved)
-                ctxs = self.accountant.program_contexts(prog, resolved)
+                ctxs = teams[prog.spec.program_id]
+                self.accountant.accumulate(prog, f, ctxs, collector)
+                mean_cpi, util = self.accountant.phase_summary(ctxs)
                 broadcast(observers, "on_step", StepEvent(
                     program_id=prog.spec.program_id,
                     t_start=global_t,
@@ -299,12 +315,16 @@ class Engine:
     # internals
     # ------------------------------------------------------------------
     def _active_contexts(
-        self, live: List[Progress], placement: Placement
+        self,
+        live: List[Progress],
+        threads: Dict[int, List[ThreadPlacement]],
     ) -> List[ActiveContext]:
+        """The busy contexts of the live programs; ``threads`` holds
+        each program's placed threads in thread order."""
         active: List[ActiveContext] = []
         for prog in live:
             phase = prog.phase
-            team = placement.program_threads(prog.spec.program_id)
+            team = threads[prog.spec.program_id]
             n_work = prog.spec.n_threads if phase.parallel else 1
             for t in team[:n_work]:
                 active.append(

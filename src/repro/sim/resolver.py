@@ -24,8 +24,9 @@ without touching the step loop.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Protocol, Sequence, Tuple
 
 from repro.cpu.branch import analytic_mispredict_rate
 from repro.cpu.pipeline import (
@@ -34,15 +35,14 @@ from repro.cpu.pipeline import (
     PipelineModel,
 )
 from repro.machine.configurations import MachineConfig
-from repro.machine.params import MachineParams
+from repro.machine.params import MachineParams, TopologyParams
 from repro.machine.topology import SystemTopology
-from repro.mem.bus import BusModel, BusOutcome
+from repro.mem.bus import BusModel, BusOutcome, CpiClasses
 from repro.mem.coherence import coherence_stall_cycles_per_instr
 from repro.mem.hierarchy import HierarchyModel, LevelRates
 from repro.openmp.env import OMPEnvironment, ScheduleKind
 from repro.osmodel.process import ProgramSpec, ThreadPlacement
 from repro.osmodel.scheduler import Scheduler
-from repro.testing import faults
 from repro.trace.phase import Phase
 
 __all__ = [
@@ -52,11 +52,6 @@ __all__ = [
     "Prework",
     "ResolvedContext",
 ]
-
-#: Damped fixed-point solver numerics (engine-level, not machine model).
-_FIXED_POINT_ITERS = 40
-_DAMPING = 0.6
-
 
 @dataclass
 class ActiveContext:
@@ -98,37 +93,68 @@ class ResolvedContext:
         return max(self.cpi_eff - exec_cycles, 0.0)
 
 
-#: Distinct active-set shapes each resolver remembers the structure of.
+#: Distinct active-set shapes remembered per machine structure.
 _STRUCTURE_CACHE_SIZE = 512
+
+
+class _ClassShape(NamedTuple):
+    """Shape-only prework inputs of one class representative: its
+    active-list index and label; its HT sibling's index and class; the
+    busy contexts on its core; whether the sibling runs the same program
+    instance (data) and binary (code); the ``(sharers, same program)``
+    of an L2 shared beyond the core (else ``None``) and of each level
+    beyond the L2; its chip; the NUMA latency and bandwidth multipliers
+    toward its program's home socket (1.0 on UMA machines); and the
+    chips its program's busy team spans, with the NUMA latency scale of
+    the team's cross-chip coherence transfers."""
+
+    index: int
+    label: str
+    sibling: Optional[int]
+    sibling_class: Optional[int]
+    sharers: int
+    same_data: bool
+    same_code: bool
+    l2_sharers: Optional[int]
+    l2_same_data: Optional[bool]
+    extra_sharing: Optional[Tuple[Tuple[int, bool], ...]]
+    chip: int
+    mem_scale: float
+    bw_scale: float
+    program_chips: int
+    coherence_scale: float
 
 
 @dataclass(frozen=True)
 class _StepStructure:
-    """Machine-independent shape of one step's active set.
+    """The shape of one step's active set on one machine structure.
 
     Contexts whose full contention inputs are symmetric collapse into
     one *class*, and :class:`FixedPointResolver` solves a step once per
     class instead of once per context.  For the paper's single-program
     runs every parallel phase collapses to one class (all team members
     are interchangeable) and serial phases have a single active context.
+    Everything here follows from placements, program identities, team
+    sizes and the machine's topology and cache scopes, never from a
+    phase, so one structure serves every step (and run) of that shape.
     """
 
     labels: Tuple[str, ...]
     class_of: Tuple[int, ...]
-    #: Active-list index of each class's representative (first member).
-    reps: Tuple[int, ...]
-    #: Labels whose prework must be computed: class representatives plus
-    #: their HT siblings (sibling terms read the sibling's rates/utils).
-    needed_labels: frozenset
+    #: Per class: its representative's (first member's) shape-only
+    #: prework inputs.
+    classes: Tuple[_ClassShape, ...]
     #: Per chip, in sorted-chip order: the class of each context on that
     #: chip, in context order (the bus kernel's chip-port fold order).
     chip_members: Tuple[Tuple[int, ...], ...]
     #: Sorted-chip index of each class's representative.
     class_chip: Tuple[int, ...]
+    #: More than one program is busy (OS migration noise applies).
+    multiprogram: bool
 
 
 def _classify(
-    active: Sequence[ActiveContext], params: MachineParams
+    active: Sequence[ActiveContext], params: MachineParams, merge: bool = True
 ) -> _StepStructure:
     """Partition ``active`` into contention-equivalence classes.
 
@@ -142,26 +168,37 @@ def _classify(
     machine.  Non-uniform machines add each context's socket (the NUMA
     latency and bandwidth tiers are relative to the program's home
     socket) and core class (clock and issue width differ per class).
+    With ``merge=False`` every context is its own class.
     """
     labels = tuple(a.placement.context.label for a in active)
     by_core: Dict[Tuple[int, int], List[int]] = {}
     by_chip: Dict[int, List[int]] = {}
     by_socket: Dict[int, List[int]] = {}
+    by_program: Dict[int, List[int]] = {}
     for i, a in enumerate(active):
         by_core.setdefault(a.placement.context.core_key, []).append(i)
         by_chip.setdefault(a.placement.context.chip, []).append(i)
         by_socket.setdefault(a.placement.context.socket, []).append(i)
+        by_program.setdefault(a.spec.program_id, []).append(i)
     chips = sorted(by_chip)
     chip_index = {c: j for j, c in enumerate(chips)}
     uniform = params.uniform
 
     base: List[Tuple] = []
     sib_of: List[Optional[int]] = []
+    # Per context: the sibling runs the same program / the same binary.
+    same: List[Tuple[bool, bool]] = []
     for i, a in enumerate(active):
         ctx = a.placement.context
         mates = by_core[ctx.core_key]
         sib = next((j for j in mates if labels[j] != labels[i]), None)
         sib_of.append(sib)
+        same.append((
+            sib is not None
+            and active[sib].spec.program_id == a.spec.program_id,
+            sib is not None
+            and active[sib].spec.workload.name == a.spec.workload.name,
+        ))
         chipmates = by_chip[ctx.chip]
         socketmates = by_socket[ctx.socket]
         sig: Tuple = (
@@ -170,10 +207,7 @@ def _classify(
             a.n_work,
             len(mates),
             sib is not None,
-            sib is not None
-            and active[sib].spec.program_id == a.spec.program_id,
-            sib is not None
-            and active[sib].spec.workload.name == a.spec.workload.name,
+            *same[i],
             len(chipmates),
             all(
                 active[j].spec.program_id == a.spec.program_id
@@ -207,7 +241,7 @@ def _classify(
     class_of: List[int] = []
     reps: List[int] = []
     for i, a in enumerate(active):
-        sig = (pair[i], chip_sig[a.placement.context.chip])
+        sig = (pair[i], chip_sig[a.placement.context.chip]) if merge else i
         k = classes.get(sig)
         if k is None:
             k = len(reps)
@@ -215,24 +249,98 @@ def _classify(
             reps.append(i)
         class_of.append(k)
 
-    needed: Set[str] = set()
+    def sharing(i: int, scope: str) -> Tuple[int, bool]:
+        """How many busy contexts share a cache of ``scope`` with ``i``,
+        and whether they all run its program."""
+        ctx = active[i].placement.context
+        group = {
+            "thread": [i],
+            "core": by_core[ctx.core_key],
+            "chip": by_chip[ctx.chip],
+            "socket": by_socket[ctx.socket],
+        }.get(scope, range(len(active)))
+        pid = active[i].spec.program_id
+        return len(group), all(active[j].spec.program_id == pid for j in group)
+
+    numa = params.topo.numa if params.numa_tiered else None
+    program_shape: Dict[int, Tuple[int, float, int]] = {}
+    for pid, team in by_program.items():
+        # Physical span of the team (coherence transfer distances);
+        # teams spanning NUMA sockets pay the remote tier on their
+        # cross-chip cache-to-cache transfers.  A program's pages are
+        # first-touched by its lowest-numbered context, so every
+        # teammate's memory accesses are charged the tier from its own
+        # socket to that home socket.
+        ctxs = [active[j].placement.context for j in team]
+        span = len({c.chip for c in ctxs})
+        scale, home = 1.0, 0
+        if numa is not None:
+            home = min(ctxs, key=lambda c: c.cpu_id).socket
+            socks = sorted({c.socket for c in ctxs})
+            if len(socks) > 1:
+                scale = max(
+                    numa.latency(s1, s2)
+                    for s1 in socks
+                    for s2 in socks
+                    if s1 != s2
+                )
+        program_shape[pid] = (span, scale, home)
+
+    l2_scope = params.l2_scope
+    l2_shared_beyond_core = l2_scope in ("chip", "socket", "system")
+    extra_scopes = tuple(lvl.scope for lvl in params.extra_levels)
+    shapes = []
     for i in reps:
-        needed.add(labels[i])
-        if sib_of[i] is not None:
-            needed.add(labels[sib_of[i]])
+        a = active[i]
+        ctx = a.placement.context
+        sib = sib_of[i]
+        l2_sharers, l2_same = (
+            sharing(i, l2_scope) if l2_shared_beyond_core else (None, None)
+        )
+        span, coh_scale, home = program_shape[a.spec.program_id]
+        shapes.append(_ClassShape(
+            index=i,
+            label=labels[i],
+            sibling=sib,
+            sibling_class=None if sib is None else class_of[sib],
+            sharers=len(by_core[ctx.core_key]),
+            same_data=same[i][0],
+            same_code=same[i][1],
+            l2_sharers=l2_sharers,
+            l2_same_data=l2_same,
+            extra_sharing=tuple(sharing(i, scope) for scope in extra_scopes)
+            if extra_scopes else None,
+            chip=ctx.chip,
+            mem_scale=1.0 if numa is None else numa.latency(ctx.socket, home),
+            bw_scale=1.0 if numa is None else numa.bandwidth(ctx.socket, home),
+            program_chips=span,
+            coherence_scale=coh_scale,
+        ))
 
     return _StepStructure(
         labels=labels,
         class_of=tuple(class_of),
-        reps=tuple(reps),
-        needed_labels=frozenset(needed),
+        classes=tuple(shapes),
         chip_members=tuple(
             tuple(class_of[i] for i in by_chip[c]) for c in chips
         ),
         class_chip=tuple(
             chip_index[active[i].placement.context.chip] for i in reps
         ),
+        multiprogram=len(by_program) > 1,
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _structure_table(
+    topo: TopologyParams, ht: bool, l2_scope: str, outer_scopes: Tuple[str, ...]
+) -> Dict[Tuple, _StepStructure]:
+    """The step structures of one machine structure, shared by every
+    resolver in the process.  A structure depends on the machine only
+    through these arguments, the table's key, so machines differing in
+    any other parameter share one table.  It holds shapes only: no
+    phase, rate or result."""
+    return {}
 
 
 class ContentionResolver(Protocol):
@@ -252,9 +360,9 @@ class Prework:
     sharing terms, coherence traffic, and the bus-independent CPI
     breakdown each context starts from.
 
-    Produced by :meth:`FixedPointResolver.prework` for one
-    representative per contention-equivalence class (plus its HT
-    sibling); consumed by the fixed point.
+    Produced by :meth:`FixedPointResolver.prework`, keyed by the label of
+    each contention-equivalence class's representative; consumed by the
+    fixed point.
     """
 
     rates: Dict[str, LevelRates] = field(default_factory=dict)
@@ -299,12 +407,16 @@ class FixedPointResolver:
         self.hierarchy = HierarchyModel(params)
         self.pipeline = PipelineModel(params)
         self.bus = BusModel(params.bus, n_chips_total=topology.n_chips)
+        self._total_visible = topology.n_contexts
         #: Residual (max relative CPI delta) of the last fixed point —
         #: the invariant auditor bounds it to catch silent
         #: non-convergence.  ``None`` until the first resolve.
         self.last_residual: Optional[float] = None
         #: Step structures by active-set shape (see :meth:`structure`).
-        self._structures: Dict[Tuple, _StepStructure] = {}
+        self._structures = _structure_table(
+            params.topo, config.ht, params.l2_scope,
+            tuple(lvl.scope for lvl in params.extra_levels),
+        )
         c = params.contention
         self._schedule_locality = {
             ScheduleKind.STATIC: 1.0,
@@ -329,288 +441,141 @@ class FixedPointResolver:
     def prework(
         self,
         active: Sequence[ActiveContext],
-        labels: Optional[Set[str]] = None,
+        struct: Optional[_StepStructure] = None,
     ) -> Prework:
         """Fixed-point-invariant state for ``active`` (see :class:`Prework`).
 
         Args:
-            active: the step's busy contexts (the *full* set — grouping,
-                sibling lookups and program spans always see everyone).
-            labels: restrict the per-context computations to these labels
-                (default: all).  The set must be closed under HT
-                siblinghood — a label's sibling terms read the sibling's
-                rates and utilization.  Both resolvers pass
-                :attr:`_StepStructure.needed_labels` (one representative
-                per contention-equivalence class, plus siblings) and
-                replicate the values across each class.
+            active: the step's busy contexts.
+            struct: their classes (:meth:`structure`); the model calls
+                run once per class representative, and sibling terms
+                read the sibling's class representative, whose values
+                the class signature makes identical.  Default: every
+                context its own class.
         """
-        by_core: Dict[Tuple[int, int], List[ActiveContext]] = {}
-        by_chip: Dict[int, List[ActiveContext]] = {}
-        by_socket: Dict[int, List[ActiveContext]] = {}
-        for a in active:
-            by_core.setdefault(a.placement.context.core_key, []).append(a)
-            by_chip.setdefault(a.placement.context.chip, []).append(a)
-            by_socket.setdefault(a.placement.context.socket, []).append(a)
-        all_active = list(active)
-
-        def scope_group(a: ActiveContext, scope: str) -> List[ActiveContext]:
-            """The busy contexts sharing a cache of ``scope`` with ``a``."""
-            ctx = a.placement.context
-            if scope == "thread":
-                return [a]
-            if scope == "core":
-                return by_core[ctx.core_key]
-            if scope == "chip":
-                return by_chip[ctx.chip]
-            if scope == "socket":
-                return by_socket[ctx.socket]
-            return all_active
-
-        l2_scope = self.params.l2_scope
-        l2_shared_beyond_core = l2_scope in ("chip", "socket", "system")
-        extra_level_scopes = tuple(
-            lvl.scope for lvl in self.params.extra_levels
-        )
-
-        # NUMA home sockets: a program's pages are first-touched by its
-        # lowest-numbered context, so every teammate's memory accesses
-        # are charged the tier from its own socket to that home socket.
-        numa_tiered = self.params.numa_tiered
-        home_socket: Dict[int, Tuple[int, int]] = {}
-        if numa_tiered:
-            for a in active:
-                ctx = a.placement.context
-                cur = home_socket.get(a.spec.program_id)
-                if cur is None or ctx.cpu_id < cur[0]:
-                    home_socket[a.spec.program_id] = (ctx.cpu_id, ctx.socket)
-
-        total_visible = self.topology.n_contexts
+        if struct is None:
+            struct = _classify(active, self.params, merge=False)
+        params = self.params
         ht = self.config.ht
-
+        total_visible = self._total_visible
+        line_bytes = params.l2.line_bytes
         pw = Prework()
         rates = pw.rates
-        misp = pw.misp
         utils = pw.utils
-        sibling_util = pw.sibling_util
-        sharers_of = pw.sharers_of
-        pair_capacity = pw.pair_capacity
-        coh_mpi = pw.coh_mpi
-        coh_stall = pw.coh_stall
 
-        # Physical span of each program's active team (for coherence
-        # transfer distances).
-        prog_chips: Dict[int, int] = {}
-        for a in active:
-            prog_chips.setdefault(a.spec.program_id, 0)
-        for pid in prog_chips:
-            prog_chips[pid] = len({
-                a.placement.context.chip
-                for a in active
-                if a.spec.program_id == pid
-            })
-        # Teams spanning NUMA sockets pay the remote tier on their
-        # cross-chip cache-to-cache transfers.
-        prog_coh_scale: Dict[int, float] = {}
-        for pid in prog_chips:
-            scale = 1.0
-            if numa_tiered:
-                socks = sorted({
-                    a.placement.context.socket
-                    for a in active
-                    if a.spec.program_id == pid
-                })
-                if len(socks) > 1:
-                    numa = self.params.topo.numa
-                    scale = max(
-                        numa.latency(s1, s2)
-                        for s1 in socks
-                        for s2 in socks
-                        if s1 != s2
-                    )
-            prog_coh_scale[pid] = scale
-
-        for a in active:
-            label = a.placement.context.label
-            if labels is not None and label not in labels:
-                continue
-            mates = by_core[a.placement.context.core_key]
-            sharers = len(mates)
-            sharers_of[label] = sharers
-            sibling = next(
-                (m for m in mates if m.placement.context.label != label), None
+        for sh in struct.classes:
+            a = active[sh.index]
+            phase = a.phase
+            n_work = a.n_work
+            label = sh.label
+            co_phase = (
+                active[sh.sibling].phase if sh.sibling is not None else None
             )
-            same_data = (
-                sibling is not None
-                and sibling.spec.program_id == a.spec.program_id
-            )
-            same_code = (
-                sibling is not None
-                and sibling.spec.workload.name == a.spec.workload.name
-            )
-            co_phase = sibling.phase if sibling is not None else None
-            if l2_shared_beyond_core:
-                group = scope_group(a, l2_scope)
-                l2_sharers = len(group)
-                l2_same = all(
-                    m.spec.program_id == a.spec.program_id
-                    for m in group
-                )
-            else:
-                l2_sharers, l2_same = None, None
-            if extra_level_scopes:
-                extra_sharing = tuple(
-                    (
-                        len(g),
-                        all(
-                            m.spec.program_id == a.spec.program_id
-                            for m in g
-                        ),
-                    )
-                    for g in (
-                        scope_group(a, scope) for scope in extra_level_scopes
-                    )
-                )
-            else:
-                extra_sharing = None
             base_rates = self.hierarchy.evaluate(
-                a.phase,
-                n_threads=a.n_work,
-                core_sharers=sharers,
-                same_data=same_data,
-                same_code=same_code,
+                phase,
+                n_threads=n_work,
+                core_sharers=sh.sharers,
+                same_data=sh.same_data,
+                same_code=sh.same_code,
                 total_visible_contexts=total_visible,
                 co_phase=co_phase,
-                l2_sharers=l2_sharers,
-                l2_same_data=l2_same,
-                extra_sharing=extra_sharing,
+                l2_sharers=sh.l2_sharers,
+                l2_same_data=sh.l2_same_data,
+                extra_sharing=sh.extra_sharing,
             )
-            rates[label] = self._apply_schedule_locality(
-                base_rates, a.n_work
-            )
-            misp[label] = analytic_mispredict_rate(
-                a.phase,
-                self.params.branch,
-                n_threads=a.n_work,
-                core_sharers=sharers,
-                same_program=same_code,
+            rates[label] = self._apply_schedule_locality(base_rates, n_work)
+            pw.misp[label] = analytic_mispredict_rate(
+                phase,
+                params.branch,
+                n_threads=n_work,
+                core_sharers=sh.sharers,
+                same_program=sh.same_code,
                 co_phase=co_phase,
             )
-            utils[label] = self._pipeline_for(
-                a.placement.context.chip
-            ).solo_utilization(a.phase, ht)
-            if numa_tiered:
-                numa = self.params.topo.numa
-                home = home_socket[a.spec.program_id][1]
-                pw.mem_scale[label] = numa.latency(
-                    a.placement.context.socket, home
-                )
-                pw.bw_scale[label] = numa.bandwidth(
-                    a.placement.context.socket, home
-                )
-            else:
-                pw.mem_scale[label] = 1.0
-                pw.bw_scale[label] = 1.0
+            utils[label] = self._pipeline_for(sh.chip).solo_utilization(
+                phase, ht
+            )
+            pw.sharers_of[label] = sh.sharers
+            pw.mem_scale[label] = sh.mem_scale
+            pw.bw_scale[label] = sh.bw_scale
             # MESI halo-exchange traffic: boundary lines exchanged per
             # iteration, charged per uop of this thread's share.
-            if a.n_work > 1 and a.phase.halo_bytes_per_iteration > 0:
-                lines_per_iter = (
-                    a.phase.halo_bytes_per_iteration
-                    / self.params.l2.line_bytes
-                )
-                instr_per_thread = a.phase.instructions / a.n_work
-                coh_mpi[label] = (
-                    lines_per_iter * a.phase.iterations / instr_per_thread
-                )
+            if n_work > 1 and phase.halo_bytes_per_iteration > 0:
+                lines_per_iter = phase.halo_bytes_per_iteration / line_bytes
+                instr_per_thread = phase.instructions / n_work
+                coh_mpi = lines_per_iter * phase.iterations / instr_per_thread
             else:
-                coh_mpi[label] = 0.0
-            coh_stall[label] = coherence_stall_cycles_per_instr(
-                coh_mpi[label],
-                prog_chips[a.spec.program_id],
-                cross_socket_latency_scale=prog_coh_scale[
-                    a.spec.program_id
-                ],
+                coh_mpi = 0.0
+            pw.coh_mpi[label] = coh_mpi
+            pw.coh_stall[label] = coherence_stall_cycles_per_instr(
+                coh_mpi,
+                sh.program_chips,
+                cross_socket_latency_scale=sh.coherence_scale,
             )
-
-        sibling_missiness = pw.sibling_missiness
-        for a in active:
-            label = a.placement.context.label
-            if labels is not None and label not in labels:
-                continue
-            mates = by_core[a.placement.context.core_key]
-            sib = next(
-                (m for m in mates if m.placement.context.label != label), None
-            )
-            sibling_util[label] = (
-                utils[sib.placement.context.label] if sib is not None else 0.0
-            )
-            pair_capacity[label] = (
-                0.5 * (a.phase.smt_capacity + sib.phase.smt_capacity)
-                if sib is not None
-                else a.phase.smt_capacity
-            )
-            if sib is None:
-                sibling_missiness[label] = 0.0
-            else:
-                own = rates[label].l2_misses_per_instr
-                other = rates[
-                    sib.placement.context.label
-                ].l2_misses_per_instr
-                sibling_missiness[label] = (
-                    min(1.0, other / own) if own > 1e-12 else 1.0
-                )
 
         # --- OS migration noise (multiprogram only) -----------------------
         # The balancer moves threads between busy logical CPUs; each move
         # refills part of the L2 working set from memory.  Expressed as
         # extra misses per instruction at the current execution rate.
-        n_programs = len({a.spec.program_id for a in active})
         mig_hz = (
-            self.scheduler.multiprogram_migration_hz if n_programs > 1 else 0.0
+            self.scheduler.multiprogram_migration_hz
+            if struct.multiprogram else 0.0
         )
-        if mig_hz > 0 and self.config.ht:
-            mig_hz *= self.params.contention.sibling_migration_fraction
+        if mig_hz > 0 and ht:
+            mig_hz *= params.contention.sibling_migration_fraction
         refill_lines = (
-            self.params.contention.migration_refill_fraction
-            * self.params.l2.size_bytes
-            / self.params.l2.line_bytes
+            params.contention.migration_refill_fraction
+            * params.l2.size_bytes
+            / line_bytes
         )
         pw.mig_misses_per_sec = mig_hz * refill_lines
 
-        # Per-label terms of the CPI that do not depend on the bus
-        # outcome.  Only ``stall_memory`` varies across fixed-point
-        # iterations (through the latency multiplier and the prefetch
-        # coverage), so the fixed point recomputes just that term — with
-        # the exact arithmetic sequence of
-        # :meth:`~repro.cpu.pipeline.PipelineModel.breakdown` — and
-        # builds the full :class:`CPIBreakdown` once after convergence.
-        for a in active:
-            label = a.placement.context.label
-            if labels is not None and label not in labels:
-                continue
-            pipe = self._pipeline_for(a.placement.context.chip)
+        # Sibling terms, then the per-label terms of the CPI that do not
+        # depend on the bus outcome (the fixed point recomputes only
+        # ``stall_memory``; see :class:`~repro.mem.bus.CpiClasses`).
+        rep_labels = [sh.label for sh in struct.classes]
+        for sh in struct.classes:
+            a = active[sh.index]
+            phase = a.phase
+            label = sh.label
+            if sh.sibling is None:
+                sibling_util = 0.0
+                pair_capacity = phase.smt_capacity
+                missiness = 0.0
+            else:
+                sib_label = rep_labels[sh.sibling_class]
+                sibling_util = utils[sib_label]
+                pair_capacity = 0.5 * (
+                    phase.smt_capacity + active[sh.sibling].phase.smt_capacity
+                )
+                own = rates[label].l2_misses_per_instr
+                other = rates[sib_label].l2_misses_per_instr
+                missiness = min(1.0, other / own) if own > 1e-12 else 1.0
+            pw.sibling_util[label] = sibling_util
+            pw.pair_capacity[label] = pair_capacity
+            pw.sibling_missiness[label] = missiness
+            pipe = self._pipeline_for(sh.chip)
             bd = pipe.breakdown(
-                a.phase,
+                phase,
                 rates[label],
-                misp[label],
+                pw.misp[label],
                 bus_latency_multiplier=1.0,
                 prefetch_coverage=0.0,
                 ht_enabled=ht,
-                sibling_utilization=sibling_util[label],
+                sibling_utilization=sibling_util,
                 self_utilization=utils[label],
-                core_sharers=sharers_of[label],
-                smt_capacity=pair_capacity[label],
-                coherence_stall_per_instr=coh_stall[label],
-                sibling_miss_ratio=sibling_missiness[label],
-                memory_latency_scale=pw.mem_scale[label],
+                core_sharers=sh.sharers,
+                smt_capacity=pair_capacity,
+                coherence_stall_per_instr=pw.coh_stall[label],
+                sibling_miss_ratio=missiness,
+                memory_latency_scale=sh.mem_scale,
             )
             pw.breakdowns[label] = bd
             pw.cpi_est[label] = bd.cpi
             pw.fast[label] = (
                 bd.cpi_exec * bd.smt_slowdown,
                 rates[label].llc_misses_per_instr,
-                pipe.effective_mlp(
-                    a.phase, sharers_of[label], sibling_missiness[label]
-                ),
+                pipe.effective_mlp(phase, sh.sharers, missiness),
             )
         return pw
 
@@ -619,13 +584,16 @@ class FixedPointResolver:
         """The contention-equivalence classes of ``active``.
 
         A pure function of the active set's shape — each context's
-        label, program, workload and team size — on this resolver's
-        machine, so it is cached by that key.  Threads sharing one
-        engine may at worst compute an entry twice.
+        label, program and team size, and which contexts run the same
+        workload — on this machine's structure, so it is cached by that
+        key for the process (:func:`_structure_table`).  Threads sharing
+        the table may at worst compute an entry twice.
         """
+        workloads: Dict[str, int] = {}
         key = tuple(
             (a.placement.context.label, a.spec.program_id,
-             a.spec.workload.name, a.n_work)
+             workloads.setdefault(a.spec.workload.name, len(workloads)),
+             a.n_work)
             for a in active
         )
         struct = self._structures.get(key)
@@ -643,121 +611,83 @@ class FixedPointResolver:
         """Solve the step once per contention-equivalence class and fan
         the class's state out to its members."""
         struct = self.structure(active)
-        pw = self.prework(active, labels=struct.needed_labels)
-        reps = [active[i] for i in struct.reps]
-        labels = [struct.labels[i] for i in struct.reps]
-        rates = [pw.rates[lab] for lab in labels]
-        misp = [pw.misp[lab] for lab in labels]
-        coh_mpi = [pw.coh_mpi[lab] for lab in labels]
-        breakdowns = [pw.breakdowns[lab] for lab in labels]
+        pw = self.prework(active, struct)
+        params = self.params
+        mem_lat_cycles = params.memory_latency_cycles
+        labels = [sh.label for sh in struct.classes]
+        reps = [active[sh.index] for sh in struct.classes]
+        terms = []
+        for lab in labels:
+            bd = pw.breakdowns[lab]
+            exec_term, llc_mpi, mlp = pw.fast[lab]
+            # The NUMA-scaled DRAM latency (``x * 1.0`` is exact, so UMA
+            # machines are untouched).
+            terms.append((
+                llc_mpi, pw.coh_mpi[lab], exec_term, mlp,
+                mem_lat_cycles * pw.mem_scale[lab],
+                bd.stall_l2_hit, bd.stall_trace_cache, bd.stall_itlb,
+                bd.stall_dtlb, bd.stall_branch, bd.stall_moclear,
+                bd.stall_coherence,
+            ))
         cpi_est = [pw.cpi_est[lab] for lab in labels]
-        fast = [pw.fast[lab] for lab in labels]
-        mig_misses_per_sec = pw.mig_misses_per_sec
-        ht = self.config.ht
-        n = len(reps)
-
-        # --- bus/CPI fixed point -----------------------------------------
-        line = self.params.llc.line_bytes
-        mem_lat_cycles = self.params.memory_latency_cycles
-        llc_lat = self.params.llc.latency_cycles
-        # Per-class hoists: chip-local clock (the same float on
-        # homogeneous machines) and the NUMA-scaled DRAM latency
-        # (``x * 1.0`` is exact, so UMA machines are untouched).
-        clock = [
-            self.params.clock_hz_of(a.placement.context.chip) for a in reps
-        ]
-        mem_lat_of = [mem_lat_cycles * pw.mem_scale[lab] for lab in labels]
-        bus_in = None
-        demand: List[float] = []
-        # Warm start: each bus call starts from the previous outer
-        # iteration's converged coverage.
-        mult, cov, util = [], [0.0] * n, []
-
-        max_delta = 0.0
-        for _ in range(_FIXED_POINT_ITERS):
-            demand = []
-            for k in range(n):
-                rate = clock[k] / cpi_est[k]
-                miss_rate_eff = (
-                    rates[k].llc_misses_per_instr
-                    + coh_mpi[k]
-                    + mig_misses_per_sec / rate
-                )
-                demand.append(miss_rate_eff * rate * line)
-            if bus_in is None:
-                bus_in = self.bus.prepare(
-                    struct.chip_members,
-                    struct.class_chip,
-                    demand,
-                    [0.5 + 0.5 * a.phase.load_fraction for a in reps],
-                    [a.phase.prefetchability for a in reps],
-                    [pw.bw_scale[lab] for lab in labels],
-                )
-            mult, cov, util = self.bus.resolve_lite(bus_in, demand, cov)
-            max_delta = 0.0
-            for k in range(n):
-                exec_term, l2mpi, mlp = fast[k]
-                base = breakdowns[k]
-                # stall_memory recomputed with the same operation
-                # sequence as PipelineModel.breakdown, then chained into
-                # the stall sum in CPIBreakdown.stall_per_instr's order,
-                # so the fast CPI is bit-identical to base.cpi would be.
-                mem_lat = mem_lat_of[k] * mult[k]
-                uncovered = l2mpi * (1.0 - cov[k])
-                covered = l2mpi * cov[k]
-                stall_memory = (
-                    uncovered * mem_lat / mlp
-                    + covered * llc_lat * _COVERED_EXPOSURE
-                )
-                cpi = exec_term + (
-                    base.stall_l2_hit
-                    + stall_memory
-                    + base.stall_trace_cache
-                    + base.stall_itlb
-                    + base.stall_dtlb
-                    + base.stall_branch
-                    + base.stall_moclear
-                    + base.stall_coherence
-                )
-                # Bandwidth sharing: when the offered traffic exceeds the
-                # bus capacity (utilization > 1 at the current execution
-                # rate), each thread's time dilates until the bus is
-                # exactly full.  CPI_bw = CPI_est * utilization is the
-                # processor-sharing equilibrium.
-                est = cpi_est[k]
-                cpi_bw = est * util[k]
-                target = max(cpi, cpi_bw) if util[k] > 1.0 else cpi
-                new_cpi = _DAMPING * est + (1 - _DAMPING) * target
-                max_delta = max(max_delta, abs(new_cpi - est) / est)
-                cpi_est[k] = new_cpi
-            if max_delta < 1e-4:
-                break
-        self.last_residual = max_delta
+        cpu = CpiClasses(
+            # Chip-local clock: the same float on homogeneous machines.
+            clock=[params.clock_hz_of(sh.chip) for sh in struct.classes],
+            cpi_est=cpi_est,
+            terms=terms,
+            mig_misses_per_sec=pw.mig_misses_per_sec,
+            line_bytes=params.llc.line_bytes,
+            llc_latency=params.llc.latency_cycles,
+            covered_exposure=_COVERED_EXPOSURE,
+        )
+        bus_in = self.bus.prepare(
+            struct.chip_members,
+            struct.class_chip,
+            None,
+            [0.5 + 0.5 * a.phase.load_fraction for a in reps],
+            [a.phase.prefetchability for a in reps],
+            [pw.bw_scale[lab] for lab in labels],
+        )
+        lite = self.bus.resolve_lite(bus_in, None, [0.0] * len(labels), cpu)
+        self.last_residual = cpu.residual
+        mult, cov, _ = lite
 
         outcomes = self.bus.build_outcomes(
-            struct.labels, struct.class_of, demand, (mult, cov, util)
+            struct.labels, struct.class_of, cpu.demand, lite
         )
         final: List[CPIBreakdown] = []
-        for k, a in enumerate(reps):
-            lab = labels[k]
-            final.append(self._pipeline_for(
-                a.placement.context.chip
-            ).breakdown(
+        for k, (a, sh) in enumerate(zip(reps, struct.classes)):
+            lab = sh.label
+            pipe = self._pipeline_for(sh.chip)
+            if pipe.params is params:
+                # Only stall_memory depends on the bus outcome, and the
+                # fixed point's last pass computed it at the returned
+                # multiplier and coverage with breakdown's arithmetic.
+                final.append(dataclasses.replace(
+                    pw.breakdowns[lab], stall_memory=cpu.stall_memory[k]
+                ))
+                continue
+            # A core class's pipeline converts the DRAM latency to cycles
+            # at its own clock, the fixed point at the base clock.
+            final.append(pipe.breakdown(
                 a.phase,
-                rates[k],
-                misp[k],
+                pw.rates[lab],
+                pw.misp[lab],
                 bus_latency_multiplier=mult[k],
                 prefetch_coverage=cov[k],
-                ht_enabled=ht,
+                ht_enabled=self.config.ht,
                 sibling_utilization=pw.sibling_util[lab],
                 self_utilization=pw.utils[lab],
-                core_sharers=pw.sharers_of[lab],
+                core_sharers=sh.sharers,
                 smt_capacity=pw.pair_capacity[lab],
                 coherence_stall_per_instr=pw.coh_stall[lab],
                 sibling_miss_ratio=pw.sibling_missiness[lab],
-                memory_latency_scale=pw.mem_scale[lab],
+                memory_latency_scale=sh.mem_scale,
             ))
         cpi_eff = [max(est, bd.cpi) for est, bd in zip(cpi_est, final)]
+        rates = [pw.rates[lab] for lab in labels]
+        misp = [pw.misp[lab] for lab in labels]
+        coh_mpi = [pw.coh_mpi[lab] for lab in labels]
 
         resolved = {}
         for a, label, k in zip(active, struct.labels, struct.class_of):
@@ -771,8 +701,6 @@ class FixedPointResolver:
                 coherence_per_instr=coh_mpi[k],
                 class_index=k,
             )
-        # Fault-drill hook: a no-op without an active resolver-skew plan.
-        faults.maybe_skew_resolver(resolved)
         return resolved
 
     # ------------------------------------------------------------------

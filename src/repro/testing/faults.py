@@ -78,9 +78,10 @@ __all__ = [
     "maybe_kill_worker",
     "maybe_raise_cache_io",
     "maybe_sigkill_self",
-    "maybe_skew_resolver",
     "maybe_slow_cache",
     "parse_plan",
+    "resolver_skew",
+    "skew_resolved",
 ]
 
 FAULTS_ENV = "REPRO_FAULTS"
@@ -349,8 +350,18 @@ def maybe_corrupt_cache_file(path: os.PathLike) -> None:
     plan._corrupted.add(key)
 
 
-def maybe_skew_resolver(resolved: Dict[str, "object"]) -> None:
-    """Corrupt the resolver's output in place, if the plan says so.
+def resolver_skew() -> float:
+    """The active plan's resolver-skew factor (0.0 without one).
+
+    Engines read it once per run and pass it to :func:`skew_resolved`
+    after every resolve.
+    """
+    plan = active_plan()
+    return 0.0 if plan is None else plan.resolver_skew
+
+
+def skew_resolved(resolved: Dict[str, "object"], skew: float) -> None:
+    """Corrupt a resolver's output in place by ``skew`` (> 0).
 
     Inflates every context's global L2 miss rate by ``1 + skew`` while
     leaving the access counts and local miss rate untouched — the
@@ -358,10 +369,7 @@ def maybe_skew_resolver(resolved: Dict[str, "object"]) -> None:
     longer holds, which the invariant auditor must report with the
     step/context where it first saw the incoherence.
     """
-    plan = active_plan()
-    if plan is None or plan.resolver_skew <= 0.0:
-        return
-    factor = 1.0 + plan.resolver_skew
+    factor = 1.0 + skew
     for r in resolved.values():
         r.rates = dataclasses.replace(
             r.rates,

@@ -13,6 +13,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cpu.pipeline import _COVERED_EXPOSURE
 from repro.mem.bus import (
+    _DAMPING,
+    _FIXED_POINT_ITERS,
     _QUEUE_CAP,
     _QUEUE_COEFF,
     PREFETCH_WASTE,
@@ -21,13 +23,10 @@ from repro.mem.bus import (
     BusOutcome,
 )
 from repro.sim.resolver import (
-    _DAMPING,
-    _FIXED_POINT_ITERS,
     ActiveContext,
     FixedPointResolver,
     ResolvedContext,
 )
-from repro.testing import faults
 
 
 def bus_lite_per_load(
@@ -254,5 +253,4 @@ class PerContextResolver(FixedPointResolver):
                 cpi_eff=max(cpi_est[label], bd.cpi),
                 coherence_per_instr=pw.coh_mpi[label],
             )
-        faults.maybe_skew_resolver(resolved)
         return resolved

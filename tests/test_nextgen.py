@@ -123,3 +123,27 @@ class TestNextGenFollowsTheMachine:
         ]) == 0
         capsys.readouterr()
         assert nextgen.NOT_APPLICABLE in (out / "nextgen.txt").read_text()
+
+    def test_own_row_is_labeled_by_the_machines_l2(self):
+        """On the 4 MB chip-shared machine the own row says so, and the
+        4 MB variant (that same machine) gets no duplicate row."""
+        ctx = RunContext(machine="nextgen-shared-l2-4mb", jobs=1)
+        result = nextgen.run(ctx, benchmarks=["SP"], problem_class="S")
+        assert result.variants == ["shared_4MB_per_chip", "shared_2MB_per_chip"]
+        own = ctx.study(problem_class="S").speedup_table(["SP"]).values
+        assert result.speedups["shared_4MB_per_chip"] == own
+        assert "private_1MB_per_core" not in nextgen.report(result)
+
+    def test_l2_label_names_scope_and_size(self):
+        from repro.machine.registry import resolve_machine
+
+        labels = {
+            name: nextgen.l2_label(resolve_machine(name).to_params())
+            for name in ("paxville", "nextgen-shared-l2",
+                         "broadwell-shared-l3")
+        }
+        assert labels == {
+            "paxville": "private_1MB_per_core",
+            "nextgen-shared-l2": "shared_2MB_per_chip",
+            "broadwell-shared-l3": "private_256KB_per_core",
+        }

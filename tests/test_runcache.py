@@ -87,6 +87,32 @@ class TestRunCache:
         assert reader.get("fp", ("k",)) == [1, 2, 3]
         assert reader.stats.disk_hits == 1
 
+    def test_put_makes_the_directory_only_when_it_is_missing(
+        self, tmp_path, monkeypatch
+    ):
+        """The first put makes the directory; later puts do not touch
+        it, and a put after the directory was removed makes it again."""
+        made = []
+        mkdir = type(tmp_path).mkdir
+
+        def counting_mkdir(self, *args, **kwargs):
+            made.append(self)
+            return mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(type(tmp_path), "mkdir", counting_mkdir)
+        directory = tmp_path / "c"
+        cache = RunCache(disk_dir=directory)
+        for i in range(3):
+            cache.put("fp", (i,), i)
+        assert made == [directory]
+        for entry in directory.iterdir():
+            entry.unlink()
+        directory.rmdir()
+        cache.put("fp", ("again",), "value")
+        assert made == [directory, directory]
+        assert RunCache(disk_dir=directory).get("fp", ("again",)) == "value"
+        assert len(list(directory.glob("*.pkl"))) == 1
+
     def test_bounded_memory_tier_drops_least_recently_used(self, tmp_path):
         cache = RunCache(disk_dir=tmp_path, max_memory_entries=2)
         cache.put("fp", ("a",), "A")
